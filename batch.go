@@ -99,14 +99,14 @@ func (rs *RuleSet) releasePipeline(pl *pipeline) {
 // per-worker pipeline: the entity-independent encoding skeleton and the
 // arena-backed SAT solver are reused across calls instead of being rebuilt
 // per entity. Results are identical to the package-level Resolve (the
-// differential tests pin this); Options.Unpooled or Options.FromScratch
-// fall back to it.
+// differential tests pin this); the unpooled and from-scratch reference
+// options fall back to it.
 func (rs *RuleSet) Resolve(spec *Spec, oracle Oracle, opts ...Options) (*Result, error) {
 	var o Options
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	if o.Unpooled || o.FromScratch {
+	if o.unpooled || o.fromScratch {
 		return Resolve(spec, oracle, o)
 	}
 	pl := rs.acquirePipeline()
@@ -247,8 +247,9 @@ type BatchResult struct {
 //
 // Each worker checks one resolve pipeline out of the rule set's pool and
 // serves all its entities from it — the encoding skeleton and solver are
-// built once per worker, not per entity. Options.Unpooled restores the
-// per-entity construction for ablation benchmarks and differential tests.
+// built once per worker, not per entity. The unpooled reference option
+// restores the per-entity construction for ablation benchmarks and
+// differential tests.
 func ResolveBatch(rules *RuleSet, instances []*Instance, opts BatchOptions) (*BatchResult, error) {
 	if rules == nil {
 		return nil, fmt.Errorf("conflictres: ResolveBatch needs a rule set")
@@ -299,7 +300,7 @@ func resolveSpecs(specs []*Spec, opts BatchOptions, rules *RuleSet) *BatchResult
 	if workers < 1 {
 		workers = 1
 	}
-	pooled := rules != nil && !opts.Options.Unpooled && !opts.Options.FromScratch
+	pooled := rules != nil && !opts.Options.unpooled && !opts.Options.fromScratch
 
 	var mu sync.Mutex // guards the aggregate counters
 	var wg sync.WaitGroup

@@ -29,7 +29,7 @@ func BenchmarkResolveBatch(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					br, err := ResolveBatch(rs, instances, BatchOptions{
 						Workers: w,
-						Options: Options{Unpooled: mode.unpooled},
+						Options: Options{unpooled: mode.unpooled},
 					})
 					if err != nil {
 						b.Fatal(err)

@@ -36,15 +36,14 @@
 //	GET  /readyz             readiness probe (503 once shutdown starts)
 //	GET  /metrics            Prometheus-style counters
 //
-// With -session-snapshot the server restores interactive sessions from the
-// named NDJSON file at startup (missing file = fresh start) and writes the
-// live sessions back to it on graceful shutdown — the rolling-restart path
-// for a fleet backend: clients keep their session ids across the restart.
-//
-// With -live-snapshot the server does the same for live entities (the
-// /v1/entity change-data-capture feed): each entity's row-log — every
-// acknowledged upsert, in order — is written out on graceful shutdown and
-// replayed at startup, so accumulated resolution state survives restarts.
+// With -session-snapshot and -live-snapshot the server restores interactive
+// sessions and live entities (the /v1/entity change-data-capture feed) from
+// the named NDJSON files at startup (a missing file is a fresh start) and
+// writes them back on graceful shutdown — the rolling-restart path for a
+// fleet backend. Both files share one line format: each entity's key, rules,
+// mode and row-log (every acknowledged delta, in order), replayed at
+// startup, so clients keep their session ids and accumulated resolution
+// state survives restarts.
 //
 // The CRFAULT_* environment variables (CRFAULT_SEED, CRFAULT_WRITE_FAIL,
 // ...) arm deterministic fault injection on the live upsert path and the
@@ -66,6 +65,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -132,114 +132,83 @@ func main() {
 		log.Printf("crserve: fault injection armed from CRFAULT_* environment")
 		cfg.LiveFault = inj.LiveUpsert
 	}
+	var snaps []snapshotFile
+	if *snapshotPath != "" {
+		snaps = append(snaps, snapshotFile{*snapshotPath, "sessions",
+			(*server.Server).SnapshotSessions, (*server.Server).RestoreSessions})
+	}
 	if *liveSnapshotPath != "" {
-		// Live entities must snapshot before Close tears the registry down,
-		// so this runs on the server's drain seam rather than after
-		// ListenAndServe returns like the session snapshot below.
-		cfg.OnDrain = func(s *server.Server) { snapshotLiveEntities(s, *liveSnapshotPath, inj) }
+		snaps = append(snaps, snapshotFile{*liveSnapshotPath, "live entities",
+			(*server.Server).SnapshotLiveEntities, (*server.Server).RestoreLiveEntities})
+	}
+	// Snapshots must be written before Close tears the registries down, so
+	// they run on the server's drain seam.
+	cfg.OnDrain = func(s *server.Server) {
+		for _, sf := range snaps {
+			sf.save(s, inj)
+		}
 	}
 
 	srv := server.New(cfg)
-	if *snapshotPath != "" {
-		restoreSessions(srv, *snapshotPath)
-	}
-	if *liveSnapshotPath != "" {
-		restoreLiveEntities(srv, *liveSnapshotPath)
+	for _, sf := range snaps {
+		sf.restore(srv)
 	}
 	log.Printf("crserve: listening on %s", cfg.Addr)
 	start := time.Now()
 	if err := srv.ListenAndServe(ctx); err != nil {
 		log.Fatalf("crserve: %v", err)
 	}
-	if *snapshotPath != "" {
-		snapshotSessions(srv, *snapshotPath)
-	}
 	log.Printf("crserve: shut down cleanly after %s", time.Since(start).Round(time.Second))
 }
 
-// restoreSessions rebuilds interactive sessions from a snapshot file. A
-// missing file is a fresh start; a partly bad file restores what it can.
-func restoreSessions(srv *server.Server, path string) {
-	f, err := os.Open(path)
+// snapshotFile is one snapshot file the server restores at startup and
+// writes back on shutdown.
+type snapshotFile struct {
+	path, what string
+	write      func(*server.Server, io.Writer) error
+	read       func(*server.Server, io.Reader) (int, error)
+}
+
+// restore replays the snapshot file. A missing file is a fresh start; a
+// partly bad file restores what it can.
+func (sf snapshotFile) restore(srv *server.Server) {
+	f, err := os.Open(sf.path)
 	if err != nil {
 		if !os.IsNotExist(err) {
-			log.Printf("crserve: session snapshot: %v", err)
+			log.Printf("crserve: %s snapshot: %v", sf.what, err)
 		}
 		return
 	}
 	defer f.Close()
-	n, err := srv.RestoreSessions(f)
+	n, err := sf.read(srv, f)
 	if err != nil {
-		log.Printf("crserve: session restore: %v", err)
+		log.Printf("crserve: %s restore: %v", sf.what, err)
 	}
-	log.Printf("crserve: restored %d sessions from %s", n, path)
+	log.Printf("crserve: restored %d %s from %s", n, sf.what, sf.path)
 }
 
-// snapshotSessions writes the live sessions out after graceful shutdown,
-// atomically via a temp file so a crash mid-write cannot corrupt the last
-// good snapshot.
-func snapshotSessions(srv *server.Server, path string) {
-	tmp := path + ".tmp"
+// save writes the snapshot on the drain seam (before the registries close),
+// atomically via a temp file so a crash or injected partial write
+// mid-snapshot cannot corrupt the last good snapshot — the rename only
+// happens after a complete write.
+func (sf snapshotFile) save(srv *server.Server, inj *fault.Injector) {
+	tmp := sf.path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		log.Printf("crserve: session snapshot: %v", err)
+		log.Printf("crserve: %s snapshot: %v", sf.what, err)
 		return
 	}
-	err = srv.SnapshotSessions(f)
+	err = sf.write(srv, inj.Writer(f))
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = os.Rename(tmp, sf.path)
 	}
 	if err != nil {
 		os.Remove(tmp)
-		log.Printf("crserve: session snapshot: %v", err)
+		log.Printf("crserve: %s snapshot: %v", sf.what, err)
 		return
 	}
-	log.Printf("crserve: snapshotted sessions to %s", path)
-}
-
-// restoreLiveEntities replays live entities from a snapshot file. A missing
-// file is a fresh start; a partly bad file restores what it can.
-func restoreLiveEntities(srv *server.Server, path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			log.Printf("crserve: live snapshot: %v", err)
-		}
-		return
-	}
-	defer f.Close()
-	n, err := srv.RestoreLiveEntities(f)
-	if err != nil {
-		log.Printf("crserve: live restore: %v", err)
-	}
-	log.Printf("crserve: restored %d live entities from %s", n, path)
-}
-
-// snapshotLiveEntities writes the live entities' row-logs out on the drain
-// seam (before the registry closes), atomically via a temp file so a crash
-// or injected partial write mid-snapshot cannot corrupt the last good
-// snapshot — the rename only happens after a complete write.
-func snapshotLiveEntities(srv *server.Server, path string, inj *fault.Injector) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		log.Printf("crserve: live snapshot: %v", err)
-		return
-	}
-	err = srv.SnapshotLiveEntities(inj.Writer(f))
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		log.Printf("crserve: live snapshot: %v", err)
-		return
-	}
-	log.Printf("crserve: snapshotted live entities to %s", path)
+	log.Printf("crserve: snapshotted %s to %s", sf.what, sf.path)
 }

@@ -8,6 +8,7 @@ import (
 	"conflictres/internal/core"
 	"conflictres/internal/encode"
 	"conflictres/internal/model"
+	"conflictres/internal/reference"
 	"conflictres/internal/relation"
 	"conflictres/internal/textio"
 )
@@ -146,15 +147,24 @@ type Options struct {
 	MaxRounds int
 	// UseNaiveDeduce switches to the exact per-variable deduction baseline.
 	UseNaiveDeduce bool
-	// FromScratch disables the incremental session engine and re-encodes
-	// the specification every round; for ablation benchmarks and
-	// differential testing.
-	FromScratch bool
-	// Unpooled disables cross-entity pipeline reuse (encoding skeleton +
-	// solver pooling) in the batch and dataset paths, constructing every
-	// entity's encoding and solver from zero; for ablation benchmarks and
-	// differential testing. Identical results either way.
-	Unpooled bool
+	// fromScratch disables the incremental session engine and re-encodes
+	// the specification every round; unpooled disables cross-entity
+	// pipeline reuse (encoding skeleton + solver pooling) in the batch and
+	// dataset paths. Both are differential references and ablation
+	// baselines with identical results, not API: the package's own tests
+	// set them, and internal/reference hands fromScratch to internal ones.
+	fromScratch bool
+	unpooled    bool
+}
+
+func init() {
+	reference.FromScratch = func(m *model.Spec) (reference.Outcome, error) {
+		res, err := Resolve(&Spec{m: m}, nil, Options{fromScratch: true})
+		if err != nil {
+			return reference.Outcome{}, err
+		}
+		return reference.Outcome{Valid: res.Valid, Resolved: res.Resolved, Tuple: res.Tuple}, nil
+	}
 }
 
 // Result is the outcome of resolving one entity.
@@ -175,7 +185,7 @@ type Result struct {
 	// Timing aggregates per-phase elapsed time.
 	Timing Timing
 	// Session reports the resolution engine's solver-reuse counters (zero
-	// when Options.FromScratch bypassed the session engine).
+	// when the from-scratch reference engine bypassed the session engine).
 	Session SessionStats
 
 	schema *Schema
@@ -228,7 +238,7 @@ func resolveWith(spec *Spec, oracle Oracle, o Options, pipe *core.Pipeline) (*Re
 	out, err := core.Resolve(m, oracle, core.Options{
 		MaxRounds:      o.MaxRounds,
 		UseNaiveDeduce: o.UseNaiveDeduce,
-		FromScratch:    o.FromScratch,
+		FromScratch:    o.fromScratch,
 		Pipeline:       pipe,
 	})
 	if err != nil {

@@ -46,13 +46,13 @@ type DatasetOptions struct {
 	// MaxEntityRows rejects entities larger than this many rows within a
 	// window (default 10000; negative disables).
 	MaxEntityRows int
-	// Unpooled disables the pooled resolve pipelines (encoding skeleton +
-	// solver reused across entities); for ablation benchmarks and
-	// differential testing. Identical results either way.
-	Unpooled bool
 	// Mode selects the resolution strategy and trust overlay applied to
 	// every entity (see ResolutionMode).
 	Mode ResolutionMode
+	// unpooled disables the pooled resolve pipelines (encoding skeleton +
+	// solver reused across entities): the package tests' differential
+	// reference and ablation baseline. Identical results either way.
+	unpooled bool
 }
 
 func (o DatasetOptions) formats() (in, out string, err error) {
@@ -135,7 +135,7 @@ func ResolveDataset(ctx context.Context, rules *RuleSet, in io.Reader, out io.Wr
 // HTTP server builds its own resolver so it can consult its result cache
 // around the same binding path.)
 func datasetResolver(rules *RuleSet, opts DatasetOptions) dataset.Resolver {
-	ropts := Options{MaxRounds: opts.MaxRounds, Unpooled: opts.Unpooled, Mode: opts.Mode}
+	ropts := Options{MaxRounds: opts.MaxRounds, unpooled: opts.unpooled, Mode: opts.Mode}
 	return func(key string, in *relation.Instance) dataset.Outcome {
 		spec, err := NewSpecFromRules(in, rules)
 		if err != nil {

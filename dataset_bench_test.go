@@ -39,7 +39,7 @@ func BenchmarkResolveDataset(b *testing.B) {
 							KeyColumns: []string{"entity"},
 							Shards:     w,
 							Sorted:     true,
-							Unpooled:   mode.unpooled,
+							unpooled:   mode.unpooled,
 						})
 					if err != nil {
 						b.Fatal(err)

@@ -10,10 +10,11 @@ import (
 // sync.Mutex / sync.RWMutex acquisition must reach its release on all paths
 // out of the function, and Close-like teardown (session/pipeline Close,
 // closeAll, releasePipeline) must never run while a *container* lock — the
-// mutex guarding a map+LRU-list structure like live.Registry or the server
-// session store — is held. Entry-level locks (a liveEntry's own mutex) may
-// legitimately be held across Close; container locks may not, because Close
-// can block on entry work and would serialize the whole registry.
+// mutex guarding a map+LRU-list structure like live.Registry or the
+// server's result cache — is held. Entry-level locks (a registry entry's
+// own mutex) may legitimately be held across Close; container locks may
+// not, because Close can block on entry work and would serialize the whole
+// registry.
 //
 // A lock that escapes the function's view — returned with its owner
 // (Registry.checkout hands back a locked entry by contract), released

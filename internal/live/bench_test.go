@@ -6,6 +6,7 @@ import (
 
 	"conflictres"
 	"conflictres/internal/datagen"
+	"conflictres/internal/reference"
 	"conflictres/internal/relation"
 )
 
@@ -120,7 +121,7 @@ func BenchmarkEntityUpsert(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := conflictres.Resolve(spec, nil, conflictres.Options{FromScratch: true}); err != nil {
+			if _, err := reference.FromScratch(spec.Model()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"conflictres/internal/constraint"
 	"conflictres/internal/datagen"
 	"conflictres/internal/fixtures"
+	"conflictres/internal/reference"
 	"conflictres/internal/relation"
 )
 
@@ -78,7 +79,7 @@ func checkStep(t *testing.T, rs *conflictres.RuleSet, ls *conflictres.LiveSessio
 	sch := rs.Schema()
 	got := fingerprint(sch, st.Valid, st.Resolved, st.Tuple)
 
-	scratch, err := conflictres.Resolve(ls.Spec(), nil, conflictres.Options{FromScratch: true})
+	scratch, err := reference.FromScratch(ls.Spec().Model())
 	if err != nil {
 		t.Fatalf("%s: from-scratch resolve: %v", label, err)
 	}

@@ -10,6 +10,7 @@ import (
 	"conflictres"
 	"conflictres/internal/fixtures"
 	"conflictres/internal/live"
+	"conflictres/internal/reference"
 	"conflictres/internal/relation"
 )
 
@@ -187,7 +188,7 @@ func TestRegistryEvictionRebuildsCleanly(t *testing.T) {
 	if !res.Created || res.State.Rows != 1 {
 		t.Fatalf("recreate a: %+v, want a fresh 1-row entity", res)
 	}
-	scratch, err := conflictres.Resolve(mustSpec(t, reg, "a"), nil, conflictres.Options{FromScratch: true})
+	scratch, err := reference.FromScratch(mustSpec(t, reg, "a").Model())
 	if err != nil {
 		t.Fatalf("from-scratch after recreate: %v", err)
 	}

@@ -34,9 +34,10 @@
 //	                         reports rule-cache warmth and live sessions
 //	GET  /metrics            Prometheus-style counters
 //
-// Sessions are held in a concurrency-safe store with LRU eviction under
-// Config.SessionCap and TTL expiry under Config.SessionTTL; a dropped,
-// expired or evicted id answers 404 and the client re-creates the session.
+// Sessions and live entities are held in two instances of the keyed
+// live.Registry, with LRU eviction under Config.SessionCap / LiveCap and
+// TTL expiry under Config.SessionTTL / LiveTTL; a dropped, expired or
+// evicted id answers 404 and the client re-creates the session.
 package server
 
 import (

@@ -112,6 +112,24 @@ func decodeRows(rules *conflictres.RuleSet, rows [][]json.RawMessage) ([]conflic
 	return out, nil
 }
 
+// liveOrders converts wire currency edges into registry orders.
+func liveOrders(in []orderJSON) []conflictres.LiveOrder {
+	out := make([]conflictres.LiveOrder, 0, len(in))
+	for _, o := range in {
+		out = append(out, conflictres.LiveOrder{Attr: o.Attr, T1: o.T1, T2: o.T2})
+	}
+	return out
+}
+
+// rulesHash is a registry entity's identity hash. It covers the rules AND
+// the canonical mode name, so a mode flip on an existing entity surfaces
+// as entity_rules_changed rather than silently resolving under the
+// creation-time strategy.
+func rulesHash(rs *ruleSetJSON, mode conflictres.ResolutionMode) string {
+	rk := rulesKey(rs)
+	return string(rk[:]) + "\x00" + mode.Strategy.String()
+}
+
 // liveErrStatus maps registry errors onto HTTP status + error code.
 func liveErrStatus(err error) (int, string) {
 	switch {
@@ -160,15 +178,6 @@ func (s *Server) handleEntityUpsert(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("%d sources for %d rows", len(req.Sources), len(rows)))
 		return
 	}
-	orders := make([]conflictres.LiveOrder, 0, len(req.Orders))
-	for _, o := range req.Orders {
-		orders = append(orders, conflictres.LiveOrder{Attr: o.Attr, T1: o.T1, T2: o.T2})
-	}
-	// The identity hash covers the rules AND the canonical mode name, so a
-	// mode flip on an existing entity surfaces as entity_rules_changed
-	// rather than silently resolving under the creation-time strategy.
-	rk := rulesKey(&req.ruleSetJSON)
-	rulesHash := string(rk[:]) + "\x00" + mode.Strategy.String()
 	// Re-marshal the decoded rule set rather than retaining request bytes:
 	// the snapshot then carries a canonical blob regardless of how the
 	// client formatted the original.
@@ -177,20 +186,17 @@ func (s *Server) handleEntityUpsert(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
 		return
 	}
-	type outcome struct {
-		res live.Result
-		err error
-	}
-	o, err := runTimed(r.Context(), s.cfg.Timeout, nil, func() outcome {
-		res, err := s.liveReg.Upsert(key, rules, rulesHash, live.Op{
-			Rows: rows, Sources: req.Sources, Orders: orders, Mode: mode, RulesWire: rulesWire,
+	o, err := runTimed(r.Context(), s.cfg.Timeout, nil, func() registryOutcome {
+		res, err := s.liveReg.Upsert(key, rules, rulesHash(&req.ruleSetJSON, mode), live.Op{
+			Rows: rows, Sources: req.Sources, Orders: liveOrders(req.Orders), Mode: mode, RulesWire: rulesWire,
 		})
-		return outcome{res, err}
+		return registryOutcome{res, err}
 	})
 	if err != nil {
 		s.writeError(w, http.StatusGatewayTimeout, codeTimeout, err.Error())
 		return
 	}
+	s.met.observeStats(o.res.Stats)
 	if o.err != nil {
 		status, code := liveErrStatus(o.err)
 		s.writeError(w, status, code, o.err.Error())

@@ -38,7 +38,8 @@ type metrics struct {
 	deduceNs   atomic.Int64
 	suggestNs  atomic.Int64
 
-	// Incremental-session reuse counters (from Result.Session): how many
+	// Incremental-session reuse counters (from Result.Session, and from the
+	// per-request delta of session and live-entity counters): how many
 	// solver builds the session engine performed vs how many ⊕ Ot steps it
 	// absorbed incrementally, and how many SAT queries the shared solvers
 	// answered.
@@ -62,10 +63,17 @@ func (m *metrics) observe(res *conflictres.Result) {
 	m.validityNs.Add(int64(res.Timing.Validity))
 	m.deduceNs.Add(int64(res.Timing.Deduce))
 	m.suggestNs.Add(int64(res.Timing.Suggest))
-	m.sessionRebuilds.Add(int64(res.Session.Rebuilds))
-	m.sessionExtends.Add(int64(res.Session.Extends))
-	m.sessionSolves.Add(res.Session.Solves)
-	m.sessionClauses.Add(int64(res.Session.ClausesLoaded))
+	m.observeStats(res.Session)
+}
+
+// observeStats accounts one request's solver-reuse work: a stateless
+// resolve's whole session, or a stateful request's delta of its entity's
+// counters.
+func (m *metrics) observeStats(st conflictres.SessionStats) {
+	m.sessionRebuilds.Add(int64(st.Rebuilds))
+	m.sessionExtends.Add(int64(st.Extends))
+	m.sessionSolves.Add(st.Solves)
+	m.sessionClauses.Add(int64(st.ClausesLoaded))
 }
 
 // observeMode accounts one entity (or session/live-entity creation) routed
@@ -77,7 +85,7 @@ func (m *metrics) observeMode(s conflictres.Strategy) {
 }
 
 // write renders the counters in Prometheus text exposition format.
-func (m *metrics) write(w io.Writer, cache *lru, sessions SessionStore, liveReg *live.Registry) {
+func (m *metrics) write(w io.Writer, cache *lru, sessions, liveReg *live.Registry) {
 	hits, misses, size := cache.stats()
 	var hitRate float64
 	if hits+misses > 0 {
@@ -114,7 +122,7 @@ func (m *metrics) write(w io.Writer, cache *lru, sessions SessionStore, liveReg 
 	fmt.Fprintf(w, "crserve_session_solves_total %d\n", m.sessionSolves.Load())
 	fmt.Fprintf(w, "# TYPE crserve_session_clauses_loaded_total counter\n")
 	fmt.Fprintf(w, "crserve_session_clauses_loaded_total %d\n", m.sessionClauses.Load())
-	sc := sessions.Counters()
+	sc := sessions.CountersSnapshot()
 	fmt.Fprintf(w, "# TYPE crserve_session_store_live gauge\n")
 	fmt.Fprintf(w, "crserve_session_store_live %d\n", sessions.Live())
 	fmt.Fprintf(w, "# TYPE crserve_session_store_created_total counter\n")

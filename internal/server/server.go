@@ -33,9 +33,9 @@ type Config struct {
 	// ShutdownGrace bounds how long Serve waits for in-flight requests on
 	// shutdown (default 10s).
 	ShutdownGrace time.Duration
-	// SessionCap bounds the live interactive sessions held by the store
-	// (default 1024). Over the cap, the least recently used session is
-	// evicted; its next request answers 404 and the client re-creates.
+	// SessionCap bounds the live interactive sessions held by the session
+	// registry (default 1024). Over the cap, the least recently used session
+	// is evicted; its next request answers 404 and the client re-creates.
 	SessionCap int
 	// SessionTTL expires sessions idle for longer than this (default 15m;
 	// negative disables expiry). Expiry is enforced lazily on access and by
@@ -43,11 +43,6 @@ type Config struct {
 	SessionTTL time.Duration
 	// SessionSweep is the janitor's sweep interval (default 1m).
 	SessionSweep time.Duration
-	// SessionStore overrides the session registry (default: the in-memory
-	// store under SessionCap/SessionTTL). A custom store is the seam for
-	// external or replicated session backends; see SnapshotSessions /
-	// RestoreSessions for the rolling-restart path of the built-in store.
-	SessionStore SessionStore
 	// LiveCap bounds the live entities held by the registry behind the
 	// /v1/entity endpoints (default 512). Over the cap, the least recently
 	// used entity is evicted (its pooled pipeline returns to the pool); its
@@ -62,11 +57,10 @@ type Config struct {
 	// Chaos runs wire a fault.Injector hook here; nil in production.
 	LiveFault func() error
 	// OnDrain, when set, runs after graceful shutdown has drained in-flight
-	// requests and before the server's stores close — the seam where
-	// crserve writes its live-entity snapshot. It must run there: after
-	// Close the live registry answers ErrShutdown and its entities are
-	// gone, whereas the session store outlives Close (SnapshotSessions is
-	// callable from main after ListenAndServe returns).
+	// requests and before the server's registries close — the seam where
+	// crserve writes its session and live-entity snapshots. It must run
+	// there: after Close both registries answer ErrShutdown and their
+	// entities are gone.
 	OnDrain func(*Server)
 }
 
@@ -127,10 +121,12 @@ func (c Config) withDefaults() Config {
 
 // Server is the crserve HTTP resolution service.
 type Server struct {
-	cfg      Config
-	results  *lru // cacheKey(rules+instance) -> *cachedResult
-	rules    *lru // cacheKey(rules)          -> *conflictres.RuleSet
-	sessions SessionStore
+	cfg     Config
+	results *lru // cacheKey(rules+instance) -> *cachedResult
+	rules   *lru // cacheKey(rules)          -> *conflictres.RuleSet
+	// sessions and liveReg are two instances of the one keyed store:
+	// answers entities behind /v1/session, rows entities behind /v1/entity.
+	sessions *live.Registry
 	liveReg  *live.Registry
 	met      *metrics
 	mux      *http.ServeMux
@@ -156,10 +152,7 @@ func New(cfg Config) *Server {
 	}
 	s.results = newLRU(s.cfg.CacheSize)
 	s.rules = newLRU(s.cfg.RuleCacheSize)
-	s.sessions = s.cfg.SessionStore
-	if s.sessions == nil {
-		s.sessions = newMemSessionStore(s.cfg.SessionCap, s.cfg.SessionTTL)
-	}
+	s.sessions = live.NewRegistry(s.cfg.SessionCap, s.cfg.SessionTTL)
 	s.liveReg = live.NewRegistry(s.cfg.LiveCap, s.cfg.LiveTTL)
 	if s.cfg.LiveFault != nil {
 		s.liveReg.SetFault(s.cfg.LiveFault)
@@ -203,8 +196,8 @@ func (s *Server) janitor(every time.Duration) {
 	}
 }
 
-// Close releases the server's background resources (the session janitor and
-// the session store). It does not wait for in-flight requests;
+// Close releases the server's background resources (the janitor and both
+// registries). It does not wait for in-flight requests;
 // ListenAndServe's graceful shutdown does that before calling Close. After
 // Close the server answers /readyz with 503 while /healthz stays green, so
 // fleet health checkers drain it instead of declaring it dead.
@@ -212,9 +205,9 @@ func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.closed.Store(true)
 		close(s.janitorStop)
+		// Each blocks on in-flight deltas; the live registry then returns
+		// every entity's pooled pipeline.
 		s.sessions.Close()
-		// Blocks on in-flight upserts, then returns every live entity's
-		// pooled pipeline.
 		s.liveReg.Close()
 	})
 }

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
 	"conflictres"
+	"conflictres/internal/live"
 	"conflictres/internal/relation"
 )
 
@@ -88,42 +92,98 @@ func encodeSuggestion(sch *conflictres.Schema, sug conflictres.Suggestion) *sugg
 	return out
 }
 
-// encodeSessionState snapshots one session as its wire state. Callers must
-// hold e.mu so the snapshot cannot interleave with a concurrent apply.
-func encodeSessionState(e *sessionEntry) *sessionStateJSON {
-	sch := e.rules.Schema()
-	res := e.sess.Result()
-	out := &sessionStateJSON{
-		Session:      e.id,
-		EntityID:     e.entityID,
-		Valid:        res.Valid,
-		Rounds:       res.Rounds,
-		Interactions: res.Interactions,
+// encodeSessionState renders an answers entity's registry state on the wire.
+func encodeSessionState(id string, res live.Result) *sessionStateJSON {
+	sch, out := res.Schema, res.Outcome
+	st := &sessionStateJSON{
+		Session:      id,
+		EntityID:     res.EntityID,
+		Valid:        out.Valid,
+		Rounds:       out.Rounds,
+		Interactions: out.Interactions,
 	}
-	if !res.Valid {
-		return out
+	if !out.Valid {
+		return st
 	}
-	out.Resolved = make(map[string]any, len(res.Resolved))
-	for a, v := range res.Resolved {
-		out.Resolved[sch.Name(a)] = encodeValue(v)
+	st.Resolved = make(map[string]any, len(out.Resolved))
+	for a, v := range out.Resolved {
+		st.Resolved[sch.Name(a)] = encodeValue(v)
 	}
-	out.Tuple = make([]any, len(res.Tuple))
-	for i, v := range res.Tuple {
-		out.Tuple[i] = encodeValue(v)
+	st.Tuple = make([]any, len(out.Tuple))
+	for i, v := range out.Tuple {
+		st.Tuple[i] = encodeValue(v)
 	}
-	out.Complete = res.Complete()
-	if !out.Complete {
-		if sug, err := e.sess.Suggest(); err == nil && len(sug.Attrs) > 0 {
-			out.Suggestion = encodeSuggestion(sch, sug)
+	st.Complete = out.Complete()
+	if res.Suggestion != nil {
+		st.Suggestion = encodeSuggestion(sch, *res.Suggestion)
+	}
+	return st
+}
+
+// newSessionID returns an opaque, unguessable session id.
+func newSessionID() string {
+	var b [16]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		// crypto/rand never fails on supported platforms; there is no sane
+		// fallback that keeps ids unguessable.
+		panic("server: crypto/rand: " + err.Error())
+	}
+	return hex.EncodeToString(b[:])
+}
+
+// decodeAnswers converts one wire answer round into values, checking every
+// attribute against the session's schema.
+func decodeAnswers(sch *conflictres.Schema, raw map[string]json.RawMessage) (map[string]conflictres.Value, error) {
+	answers := make(map[string]conflictres.Value, len(raw))
+	for name, v := range raw {
+		if _, ok := sch.Attr(name); !ok {
+			return nil, fmt.Errorf("unknown attribute %q", name)
 		}
+		val, err := relation.FromJSONScalar(v)
+		if err != nil {
+			return nil, fmt.Errorf("attribute %s: %v", name, err)
+		}
+		answers[name] = val
 	}
-	return out
+	return answers, nil
+}
+
+// writeSessionError answers a failed session registry operation. Registry
+// conditions map to their codes; anything else is the facade rejecting the
+// delta, answered with status and code — for an answer round that is a
+// contradiction (the session rolled back and logged nothing).
+func (s *Server) writeSessionError(w http.ResponseWriter, id string, err error, status int, code string) {
+	switch {
+	case errors.Is(err, live.ErrNotFound):
+		s.writeSessionNotFound(w, id)
+		return
+	case errors.Is(err, live.ErrBusy):
+		s.writeError(w, http.StatusConflict, codeSessionBusy,
+			"another request is in progress on this session; retry when it completes")
+		return
+	case errors.Is(err, live.ErrShutdown), errors.Is(err, live.ErrFaulted):
+		status, code = liveErrStatus(err)
+	}
+	s.writeError(w, status, code, err.Error())
+}
+
+// writeSessionNotFound answers an id the session registry does not hold.
+func (s *Server) writeSessionNotFound(w http.ResponseWriter, id string) {
+	s.writeError(w, http.StatusNotFound, codeSessionNotFound,
+		fmt.Sprintf("no live session %q: unknown id, expired, or evicted", id))
+}
+
+// registryOutcome is one registry operation run under the deadline.
+type registryOutcome struct {
+	res live.Result
+	err error
 }
 
 // handleSessionCreate is POST /v1/session: compile the rules, bind the
-// entity, start an incremental session, and return its id with the initial
-// state — validity, the values deduced automatically, and the first
-// suggestion. This is the one request in the loop that pays an encode.
+// entity, and seed an answers entity in the session registry under a fresh
+// id; return the id with the initial state — validity, the values deduced
+// automatically, and the first suggestion. This is the one request in the
+// loop that pays an encode.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	s.met.sessionRequests.Add(1)
 	var req sessionCreateRequest
@@ -144,89 +204,76 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, codeBadEntity, err.Error())
 		return
 	}
-	s.met.observeMode(mode.Strategy)
-	type created struct {
-		e     *sessionEntry
-		state *sessionStateJSON
-		err   error
+	rulesWire, err := json.Marshal(&req.ruleSetJSON)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
+		return
 	}
+	s.met.observeMode(mode.Strategy)
+	id := newSessionID()
+	op := live.Op{Kind: live.Answers, Seed: spec, EntityID: req.Entity.ID, Mode: mode, RulesWire: rulesWire}
 	// The solver work (validity root-solve, deduction, first suggestion)
-	// runs under the per-entity deadline; a timed-out build is abandoned
-	// before the session is ever registered.
-	out, err := runTimed(r.Context(), s.cfg.Timeout, nil, func() created {
-		sess, err := conflictres.NewSessionMode(spec, mode)
-		if err != nil {
-			return created{err: err}
-		}
-		e := &sessionEntry{
-			sess: sess, rules: rules, entityID: req.Entity.ID,
-			replay: sessionReplay{Rules: req.ruleSetJSON, Entity: req.Entity, Mode: req.Mode},
-		}
-		return created{e: e, state: encodeSessionState(e)}
+	// runs under the per-entity deadline. A timed-out build runs on, so it
+	// is discarded once it lands: its id was never revealed.
+	landed := make(chan struct{})
+	out, err := runTimed(r.Context(), s.cfg.Timeout, func() { close(landed) }, func() registryOutcome {
+		// No rules hash: a session is seeded once per id, so its rules are
+		// never compared against a later upsert's.
+		res, err := s.sessions.Upsert(id, rules, "", op)
+		return registryOutcome{res, err}
 	})
 	if err != nil {
+		go func() {
+			<-landed
+			s.sessions.Discard(id)
+		}()
 		s.writeError(w, http.StatusGatewayTimeout, codeTimeout, err.Error())
 		return
 	}
+	s.met.observeStats(out.res.Stats)
 	if out.err != nil {
-		s.writeError(w, http.StatusInternalServerError, codeResolveFail, out.err.Error())
+		s.writeSessionError(w, id, out.err, http.StatusInternalServerError, codeResolveFail)
 		return
 	}
-	// Register only after the state snapshot: the id is unknown to any
-	// other client until this response reveals it, so no lock is needed.
-	out.state.Session = s.sessions.Add(out.e)
-	writeJSON(w, out.state)
+	writeJSON(w, encodeSessionState(id, out.res))
 }
 
-// sessionByPath resolves the {id} path segment to a live session, answering
-// 404 for unknown, expired, or evicted ids.
-func (s *Server) sessionByPath(w http.ResponseWriter, r *http.Request) (*sessionEntry, bool) {
-	id := r.PathValue("id")
-	e, ok := s.sessions.Get(id)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, codeSessionNotFound,
-			fmt.Sprintf("no live session %q: unknown id, expired, or evicted", id))
-		return nil, false
-	}
-	return e, true
-}
-
-// handleSessionGet is GET /v1/session/{id}: the current state, recomputing
-// nothing that the session already has cached.
+// handleSessionGet is GET /v1/session/{id}: the state the last accepted
+// round left, waiting out a round in flight. Nothing is recomputed.
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	s.met.sessionRequests.Add(1)
-	e, ok := s.sessionByPath(w, r)
-	if !ok {
-		return
+	id := r.PathValue("id")
+	res, ok, err := s.sessions.Get(id)
+	switch {
+	case err != nil:
+		s.writeSessionError(w, id, err, http.StatusInternalServerError, codeResolveFail)
+	case !ok:
+		s.writeSessionNotFound(w, id)
+	default:
+		writeJSON(w, encodeSessionState(id, res))
 	}
-	e.mu.Lock()
-	state, err := runTimed(r.Context(), s.cfg.Timeout, func() { e.mu.Unlock() }, func() *sessionStateJSON {
-		return encodeSessionState(e)
-	})
-	if err != nil {
-		s.writeError(w, http.StatusGatewayTimeout, codeTimeout, err.Error())
-		return
-	}
-	writeJSON(w, state)
 }
 
 // handleSessionAnswer is POST /v1/session/{id}/answer: fold the user's
-// validated values into the session (Se ⊕ Ot), re-deduce incrementally on
-// the live solver, and return the new state with the next suggestion. A
-// request racing another in-flight request on the same session answers 409;
-// input that contradicts the specification answers 422 and leaves the
-// session at its last consistent state (the framework's "revise" branch).
+// validated values into the session (Se ⊕ Ot) as one answers delta,
+// re-deduce incrementally on the live solver, and return the new state with
+// the next suggestion. A request racing another in-flight request on the
+// same session answers 409; input that contradicts the specification
+// answers 422 and leaves the session at its last consistent state (the
+// framework's "revise" branch), with nothing logged.
 //
 // Timeout semantics: the solver is not preemptible, so a 504 abandons the
 // response but NOT the apply — it keeps running and may still commit, with
 // the entry lock held until it finishes. The recovery protocol is to GET
-// the session (which blocks on that lock, i.e. waits the apply out) and
-// inspect `interactions` to decide whether the answer landed before
-// re-sending. Documented in docs/OPERATIONS.md.
+// the session (which waits the apply out) and inspect `interactions` to
+// decide whether the answer landed before re-sending. Documented in
+// docs/OPERATIONS.md.
 func (s *Server) handleSessionAnswer(w http.ResponseWriter, r *http.Request) {
 	s.met.sessionRequests.Add(1)
-	e, ok := s.sessionByPath(w, r)
+	id := r.PathValue("id")
+	sch, ok := s.sessions.Schema(id)
 	if !ok {
+		s.writeSessionNotFound(w, id)
 		return
 	}
 	var req sessionAnswerRequest
@@ -237,47 +284,25 @@ func (s *Server) handleSessionAnswer(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, codeBadRequest, `body needs "answers": {attr: value, ...}`)
 		return
 	}
-	sch := e.rules.Schema()
-	answers := make(map[string]conflictres.Value, len(req.Answers))
-	for name, raw := range req.Answers {
-		if _, ok := sch.Attr(name); !ok {
-			s.writeError(w, http.StatusBadRequest, codeBadEntity, fmt.Sprintf("unknown attribute %q", name))
-			return
-		}
-		v, err := relation.FromJSONScalar(raw)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, codeBadEntity, fmt.Sprintf("attribute %s: %v", name, err))
-			return
-		}
-		answers[name] = v
-	}
-	if !e.mu.TryLock() {
-		s.writeError(w, http.StatusConflict, codeSessionBusy,
-			"another request is in progress on this session; retry when it completes")
+	answers, err := decodeAnswers(sch, req.Answers)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, codeBadEntity, err.Error())
 		return
 	}
-	type applied struct {
-		state *sessionStateJSON
-		err   error
-	}
-	out, err := runTimed(r.Context(), s.cfg.Timeout, func() { e.mu.Unlock() }, func() applied {
-		if err := e.sess.Apply(answers); err != nil {
-			return applied{err: err}
-		}
-		// Record the applied round for SnapshotSessions (still under e.mu):
-		// only successful applies are replayable state.
-		e.replay.Answers = append(e.replay.Answers, req.Answers)
-		return applied{state: encodeSessionState(e)}
+	out, err := runTimed(r.Context(), s.cfg.Timeout, nil, func() registryOutcome {
+		res, err := s.sessions.Upsert(id, nil, "", live.Op{Kind: live.Answers, Answers: answers})
+		return registryOutcome{res, err}
 	})
 	if err != nil {
 		s.writeError(w, http.StatusGatewayTimeout, codeTimeout, err.Error())
 		return
 	}
+	s.met.observeStats(out.res.Stats)
 	if out.err != nil {
-		s.writeError(w, http.StatusUnprocessableEntity, codeContradiction, out.err.Error())
+		s.writeSessionError(w, id, out.err, http.StatusUnprocessableEntity, codeContradiction)
 		return
 	}
-	writeJSON(w, out.state)
+	writeJSON(w, encodeSessionState(id, out.res))
 }
 
 // handleSessionDelete is DELETE /v1/session/{id}: drop the session. Expired
@@ -287,8 +312,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	s.met.sessionRequests.Add(1)
 	id := r.PathValue("id")
 	if !s.sessions.Remove(id) {
-		s.writeError(w, http.StatusNotFound, codeSessionNotFound,
-			fmt.Sprintf("no live session %q: unknown id, expired, or evicted", id))
+		s.writeSessionNotFound(w, id)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

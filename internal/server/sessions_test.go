@@ -3,14 +3,20 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"conflictres"
 	"conflictres/internal/fixtures"
+	"conflictres/internal/live"
 	"conflictres/internal/model"
 )
 
@@ -317,7 +323,7 @@ func TestSessionTTLExpiry(t *testing.T) {
 	if _, resp := getSession(t, ts.URL, state.Session); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("expired session must answer 404")
 	}
-	if got := s.sessions.Counters().Expired; got != 1 {
+	if got := s.sessions.CountersSnapshot().Expired; got != 1 {
 		t.Fatalf("expired counter = %d, want 1", got)
 	}
 	if got := s.sessions.Live(); got != 0 {
@@ -337,7 +343,7 @@ func TestSessionJanitorSweeps(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := s.sessions.Counters().Expired; got != 1 {
+	if got := s.sessions.CountersSnapshot().Expired; got != 1 {
 		t.Fatalf("expired counter = %d, want 1", got)
 	}
 }
@@ -361,33 +367,90 @@ func TestSessionLRUEviction(t *testing.T) {
 			t.Fatalf("session %s must survive", id)
 		}
 	}
-	if got := s.sessions.Counters().Evicted; got != 1 {
+	if got := s.sessions.CountersSnapshot().Evicted; got != 1 {
 		t.Fatalf("evicted counter = %d, want 1", got)
 	}
-	if got := s.sessions.Counters().Created; got != 3 {
+	if got := s.sessions.CountersSnapshot().Created; got != 3 {
 		t.Fatalf("created counter = %d, want 3", got)
 	}
 }
 
+// holdUpserts installs a fault hook on reg that, once armed, parks the
+// next upsert inside the registry with its entity lock held — an in-flight
+// round, frozen — until Release. held is closed when an upsert parks.
+// Install it before any traffic: the hook is read without a lock. A test
+// that fails while an upsert is parked releases it on cleanup, so the
+// test server can shut down.
+type holdUpserts struct {
+	armed   atomic.Bool
+	held    chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func newHoldUpserts(t *testing.T, reg *live.Registry) *holdUpserts {
+	h := &holdUpserts{held: make(chan struct{}), release: make(chan struct{})}
+	reg.SetFault(func() error {
+		if h.armed.CompareAndSwap(true, false) {
+			close(h.held)
+			<-h.release
+		}
+		return nil
+	})
+	t.Cleanup(h.Release)
+	return h
+}
+
+// Release lets the parked upsert continue.
+func (h *holdUpserts) Release() { h.once.Do(func() { close(h.release) }) }
+
+// answerAsync posts an answer round in the background, reporting its state
+// and status on the returned channel.
+func answerAsync(t *testing.T, url, id string, answers map[string]any) <-chan answerOutcome {
+	out := make(chan answerOutcome, 1)
+	go func() {
+		body, _ := json.Marshal(map[string]any{"answers": answers})
+		resp, err := http.Post(url+"/v1/session/"+id+"/answer", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			out <- answerOutcome{}
+			return
+		}
+		defer resp.Body.Close()
+		var state sessionStateJSON
+		json.NewDecoder(resp.Body).Decode(&state)
+		out <- answerOutcome{state, resp.StatusCode}
+	}()
+	return out
+}
+
+type answerOutcome struct {
+	state  sessionStateJSON
+	status int
+}
+
 // TestSessionAnswerConflict: an answer racing another apply on the same
-// session answers 409 instead of queueing. The in-flight apply is simulated
-// by holding the entry lock, which is exactly what the handler contends on.
+// session answers 409 instead of queueing. The in-flight apply is a real
+// answer round parked inside the registry with the entry lock held, which
+// is exactly what the handler contends on.
 func TestSessionAnswerConflict(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
+	hold := newHoldUpserts(t, s.sessions)
 	state, _ := createSession(t, ts.URL, wireFromSpec(t, fixtures.GeorgeSpec(), "g"))
-	e, ok := s.sessions.Get(state.Session)
-	if !ok {
-		t.Fatal("session must be live")
-	}
-	e.mu.Lock()
+	hold.armed.Store(true)
+	inflight := answerAsync(t, ts.URL, state.Session, map[string]any{"status": "retired"})
+	<-hold.held
 	_, resp, data := postAnswer(t, ts.URL, state.Session, map[string]any{"status": "retired"})
-	e.mu.Unlock()
+	hold.Release()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("status %d, want 409: %s", resp.StatusCode, data)
 	}
 	var env map[string]*errorJSON
 	if err := json.Unmarshal(data, &env); err != nil || env["error"].Code != codeSessionBusy {
 		t.Fatalf("envelope = %s", data)
+	}
+	if got := <-inflight; got.status != http.StatusOK {
+		t.Fatalf("in-flight apply: status %d", got.status)
 	}
 	// Once the racing apply finishes, the same request succeeds.
 	next, resp, data := postAnswer(t, ts.URL, state.Session, map[string]any{"status": "retired"})
@@ -530,33 +593,22 @@ func TestJanitorCloseRace(t *testing.T) {
 }
 
 // TestEvictionRacesHeldSession evicts a session whose entry lock is held by
-// a simulated in-flight apply (run under -race in CI). Eviction only
-// unlinks the entry from the store — it must not contend on the entry
-// lock — and the in-flight work completes against its private reference
-// while new requests for the id answer 404.
+// an in-flight apply (run under -race in CI). Eviction unlinks the entry
+// from the registry under the registry lock without contending on the
+// entry lock; the entry is closed only once the in-flight work drains, and
+// that work completes against its private reference while new requests
+// for the id answer 404.
 func TestEvictionRacesHeldSession(t *testing.T) {
 	s, ts := newTestServer(t, Config{SessionCap: 1})
+	hold := newHoldUpserts(t, s.sessions)
 	a, _ := createSession(t, ts.URL, wireFromSpec(t, fixtures.GeorgeSpec(), "a"))
-	e, ok := s.sessions.Get(a.Session)
-	if !ok {
-		t.Fatal("session must be live")
-	}
-	if !e.mu.TryLock() {
-		t.Fatal("fresh session lock must be free")
-	}
+	hold.armed.Store(true)
+	// The in-flight apply, parked under the held lock while the registry
+	// concurrently drops the entry.
+	inflight := answerAsync(t, ts.URL, a.Session, map[string]any{"status": "retired"})
+	<-hold.held
 	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		// The in-flight apply, working under the held lock while the
-		// store concurrently drops the entry.
-		defer wg.Done()
-		defer e.mu.Unlock()
-		if err := e.sess.Apply(map[string]conflictres.Value{
-			"status": conflictres.String("retired"),
-		}); err != nil {
-			t.Errorf("apply under eviction: %v", err)
-		}
-	}()
+	wg.Add(1)
 	go func() {
 		// Cap 1: each create evicts the previous LRU entry, including the
 		// locked one.
@@ -565,16 +617,205 @@ func TestEvictionRacesHeldSession(t *testing.T) {
 			createSession(t, ts.URL, wireFromSpec(t, fixtures.EdithSpec(), "filler"))
 		}
 	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.sessions.CountersSnapshot().Evicted < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the held session was never evicted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	hold.Release()
+	applied := <-inflight
 	wg.Wait()
 	if _, resp := getSession(t, ts.URL, a.Session); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("evicted session must answer 404, got %d", resp.StatusCode)
 	}
-	if got := s.sessions.Counters().Evicted; got < 1 {
+	if got := s.sessions.CountersSnapshot().Evicted; got < 1 {
 		t.Fatalf("evicted counter = %d, want >= 1", got)
 	}
-	// The apply committed on the private reference even though the store
-	// dropped it: the entry's own state is consistent.
-	if !e.sess.Result().Valid {
-		t.Fatal("apply on the evicted entry must have left it valid")
+	// The apply committed on the private reference even though the
+	// registry dropped it: the entry's own state is consistent.
+	if applied.status != http.StatusOK || !applied.state.Valid {
+		t.Fatalf("apply on the evicted entry must have left it valid: status %d, %+v", applied.status, applied.state)
+	}
+}
+
+// TestSessionCreateFailureLeavesNothing: a create rejected inside the
+// registry, or one that times out while its build is still running, leaves
+// no entry behind and no counted creation.
+func TestSessionCreateFailureLeavesNothing(t *testing.T) {
+	s, ts := newTestServer(t, Config{Timeout: 50 * time.Millisecond})
+	hold := newHoldUpserts(t, s.sessions)
+	body := wireFromSpec(t, fixtures.GeorgeSpec(), "g")
+
+	// Timed out: the build is parked past the deadline, then lands.
+	hold.armed.Store(true)
+	done := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/session", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			done <- 0
+			return
+		}
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	<-hold.held
+	if status := <-done; status != http.StatusGatewayTimeout {
+		t.Fatalf("parked create: status %d, want 504", status)
+	}
+	hold.Release()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.sessions.Live() != 0 || s.sessions.CountersSnapshot().Created != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed-out create left live=%d created=%d", s.sessions.Live(), s.sessions.CountersSnapshot().Created)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Failed: the registry refuses the delta before building anything.
+	s2, ts2 := newTestServer(t, Config{})
+	s2.sessions.SetFault(func() error { return errors.New("disk full") })
+	if _, resp := createSession(t, ts2.URL, body); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("faulted create: status %d, want 503", resp.StatusCode)
+	}
+	if got := s2.sessions.Live(); got != 0 {
+		t.Fatalf("faulted create left %d sessions", got)
+	}
+	if got := s2.sessions.CountersSnapshot().Created; got != 0 {
+		t.Fatalf("faulted create counted: created = %d", got)
+	}
+}
+
+// metricValue reads one unlabelled sample from /metrics.
+func metricValue(t *testing.T, url, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("metric %s missing:\n%s", name, body)
+	return 0
+}
+
+// TestStatefulRequestsFeedSessionCounters: session creates and answers, and
+// live-entity upserts, account their solver work in the
+// crserve_session_*_total counters, as stateless resolves do.
+func TestStatefulRequestsFeedSessionCounters(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	state, _ := createSession(t, ts.URL, wireFromSpec(t, fixtures.GeorgeSpec(), "g"))
+	if _, resp, data := postAnswer(t, ts.URL, state.Session, map[string]any{"status": "retired"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("answer: status %d: %s", resp.StatusCode, data)
+	}
+	for _, name := range []string{
+		"crserve_session_rebuilds_total",
+		"crserve_session_extends_total",
+		"crserve_session_solves_total",
+		"crserve_session_clauses_loaded_total",
+	} {
+		if v := metricValue(t, ts.URL, name); v <= 0 {
+			t.Errorf("after create + answer: %s = %v, want > 0", name, v)
+		}
+	}
+
+	// A single creating upsert builds once and extends nothing.
+	_, ts2 := newTestServer(t, Config{})
+	if _, resp := entityUpsert(t, ts2, "edith", entityWire(t, fixtures.EdithSpec(), []int{0, 1}, nil)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("upsert: status %d", resp.StatusCode)
+	}
+	for _, name := range []string{
+		"crserve_session_rebuilds_total",
+		"crserve_session_solves_total",
+		"crserve_session_clauses_loaded_total",
+	} {
+		if v := metricValue(t, ts2.URL, name); v <= 0 {
+			t.Errorf("after one upsert: %s = %v, want > 0", name, v)
+		}
+	}
+}
+
+// TestReadsOfBusyEntries: a session GET waits out an answer round in
+// flight and returns the state that round left, while an entity GET that
+// misses the cache on a busy entity answers 409 entity_busy rather than
+// queue behind the write.
+func TestReadsOfBusyEntries(t *testing.T) {
+	s, ts := newTestServer(t, Config{CacheSize: -1})
+	sessHold, liveHold := newHoldUpserts(t, s.sessions), newHoldUpserts(t, s.liveReg)
+
+	state, _ := createSession(t, ts.URL, wireFromSpec(t, fixtures.GeorgeSpec(), "g"))
+	sessHold.armed.Store(true)
+	inflight := answerAsync(t, ts.URL, state.Session, map[string]any{"status": "retired"})
+	<-sessHold.held
+	read := make(chan sessionStateJSON, 1)
+	go func() {
+		var st sessionStateJSON
+		resp, err := http.Get(ts.URL + "/v1/session/" + state.Session)
+		if err != nil {
+			t.Error(err)
+		} else {
+			json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+		}
+		read <- st
+	}()
+	select {
+	case st := <-read:
+		t.Fatalf("GET returned while a round was in flight: %+v", st)
+	case <-time.After(50 * time.Millisecond):
+	}
+	sessHold.Release()
+	if got := <-inflight; got.status != http.StatusOK {
+		t.Fatalf("in-flight answer: status %d", got.status)
+	}
+	if st := <-read; st.Interactions != 1 || !st.Complete {
+		t.Fatalf("GET after the round = %+v, want the state it left", st)
+	}
+
+	spec := fixtures.EdithSpec()
+	if _, resp := entityUpsert(t, ts, "edith", entityWire(t, spec, []int{0}, nil)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("create: status %d", resp.StatusCode)
+	}
+	liveHold.armed.Store(true)
+	upserted := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/entity/edith/rows", "application/json",
+			bytes.NewReader(entityWire(t, spec, []int{1}, nil)))
+		if err != nil {
+			t.Error(err)
+			upserted <- 0
+			return
+		}
+		resp.Body.Close()
+		upserted <- resp.StatusCode
+	}()
+	<-liveHold.held
+	resp, err := http.Get(ts.URL + "/v1/entity/edith")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env map[string]*errorJSON
+	json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	liveHold.Release()
+	if resp.StatusCode != http.StatusConflict || env["error"] == nil || env["error"].Code != codeEntityBusy {
+		t.Fatalf("GET of a busy entity: status %d, %v", resp.StatusCode, env)
+	}
+	if status := <-upserted; status != http.StatusOK {
+		t.Fatalf("in-flight upsert: status %d", status)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"reflect"
 	"strings"
@@ -153,5 +154,102 @@ func TestRestoreSkipsBadLines(t *testing.T) {
 	}
 	if _, resp := getSession(t, tsB.URL, g.Session); resp.StatusCode != http.StatusOK {
 		t.Fatal("the good session must have been restored")
+	}
+}
+
+// getBody fetches a URL and returns its status and raw body.
+func getBody(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// TestSessionSnapshotOneFormat pins sessions to the registry's snapshot
+// format: a session line holds key, rules, mode and deltas — the seed (the
+// entity's rows and entityId), then one delta per accepted answer round,
+// with a rejected (422) round absent. The session restores under its id
+// with a byte-identical state body, beside a live-entity file restored into
+// the same server, and a line in the pre-registry session format is
+// skipped and counted, not fatal.
+func TestSessionSnapshotOneFormat(t *testing.T) {
+	sA, tsA := newTestServer(t, Config{})
+	g, _ := createSession(t, tsA.URL, wireFromSpec(t, fixtures.GeorgeSpec(), "george"))
+	for _, round := range []struct {
+		answers map[string]any
+		status  int
+	}{
+		{map[string]any{"status": "retired"}, http.StatusOK},
+		{map[string]any{"status": "working"}, http.StatusUnprocessableEntity},
+		{map[string]any{"job": "veteran"}, http.StatusOK},
+	} {
+		if _, resp, data := postAnswer(t, tsA.URL, g.Session, round.answers); resp.StatusCode != round.status {
+			t.Fatalf("answer %v: status %d, want %d: %s", round.answers, resp.StatusCode, round.status, data)
+		}
+	}
+	if _, resp := entityUpsert(t, tsA, "edith", entityWire(t, fixtures.EdithSpec(), []int{0, 1}, nil)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("entity upsert: status %d", resp.StatusCode)
+	}
+
+	var sessions, entities bytes.Buffer
+	if err := sA.SnapshotSessions(&sessions); err != nil {
+		t.Fatal(err)
+	}
+	if err := sA.SnapshotLiveEntities(&entities); err != nil {
+		t.Fatal(err)
+	}
+	var line snapshotJSON
+	if err := json.Unmarshal(sessions.Bytes(), &line); err != nil {
+		t.Fatalf("session line %s: %v", sessions.Bytes(), err)
+	}
+	if line.Key != g.Session || len(line.Rules) == 0 || line.Mode != "sat" {
+		t.Fatalf("session line header: key %q mode %q rules %s", line.Key, line.Mode, line.Rules)
+	}
+	if len(line.Deltas) != 3 {
+		t.Fatalf("session log has %d deltas, want seed + 2 accepted rounds: %s", len(line.Deltas), sessions.Bytes())
+	}
+	seed := line.Deltas[0]
+	if seed.Kind != answersKind || seed.EntityID != "george" || len(seed.Rows) != 3 || seed.Answers != nil {
+		t.Fatalf("seed delta = %+v", seed)
+	}
+	for i, want := range []string{`{"status":"retired"}`, `{"job":"veteran"}`} {
+		d := line.Deltas[i+1]
+		got, _ := json.Marshal(d.Answers)
+		if d.Kind != answersKind || len(d.Rows) != 0 || string(got) != want {
+			t.Fatalf("round %d delta = %+v, answers %s, want %s", i+1, d, got, want)
+		}
+	}
+
+	// Both files restore side by side into one fresh server, after a line
+	// written by an older build.
+	old := `{"id":"0123","rules":{"schema":["a"]},"entity":{"id":"e","tuples":[["x"]]},"answers":[{"a":"x"}]}` + "\n"
+	sB, tsB := newTestServer(t, Config{})
+	n, err := sB.RestoreSessions(strings.NewReader(old + sessions.String()))
+	if n != 1 || err == nil || !strings.Contains(err.Error(), "1 sessions skipped") {
+		t.Fatalf("session restore: n=%d err=%v, want 1 restored and 1 skipped", n, err)
+	}
+	if n, err := sB.RestoreLiveEntities(&entities); n != 1 || err != nil {
+		t.Fatalf("live restore: n=%d err=%v", n, err)
+	}
+	statusA, bodyA := getBody(t, tsA.URL+"/v1/session/"+g.Session)
+	statusB, bodyB := getBody(t, tsB.URL+"/v1/session/"+g.Session)
+	if statusA != http.StatusOK || statusB != http.StatusOK || !bytes.Equal(bodyA, bodyB) {
+		t.Fatalf("session diverged across restore:\n got %d %s\nwant %d %s", statusB, bodyB, statusA, bodyA)
+	}
+	if !bytes.Contains(bodyB, []byte(`"entityId":"george"`)) || !bytes.Contains(bodyB, []byte(`"interactions":2`)) {
+		t.Fatalf("restored session state = %s, want entityId george after 2 interactions", bodyB)
+	}
+	if a, b := liveWireState(t, sA, "edith"), liveWireState(t, sB, "edith"); a != b {
+		t.Fatalf("live entity diverged across restore:\n got %s\nwant %s", b, a)
+	}
+	if sB.sessions.Live() != 1 || sB.liveReg.Live() != 1 {
+		t.Fatalf("restored sessions=%d entities=%d, want 1 each", sB.sessions.Live(), sB.liveReg.Live())
 	}
 }

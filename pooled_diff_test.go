@@ -55,11 +55,11 @@ func TestPooledResolveMatchesUnpooled(t *testing.T) {
 		if err != nil {
 			t.Fatalf("instance %d: pooled: %v", i, err)
 		}
-		unpooled, err := rs.Resolve(bind(), nil, Options{Unpooled: true})
+		unpooled, err := rs.Resolve(bind(), nil, Options{unpooled: true})
 		if err != nil {
 			t.Fatalf("instance %d: unpooled: %v", i, err)
 		}
-		scratch, err := Resolve(bind(), nil, Options{FromScratch: true})
+		scratch, err := Resolve(bind(), nil, Options{fromScratch: true})
 		if err != nil {
 			t.Fatalf("instance %d: from-scratch: %v", i, err)
 		}
@@ -120,7 +120,7 @@ func TestPooledDatasetMatchesUnpooled(t *testing.T) {
 				KeyColumns: []string{"entity"},
 				Shards:     4,
 				Sorted:     true,
-				Unpooled:   unpooled,
+				unpooled:   unpooled,
 			})
 		if err != nil {
 			t.Fatalf("ResolveDataset(unpooled=%v): %v", unpooled, err)

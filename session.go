@@ -24,7 +24,8 @@ import (
 // each call observes a consistent view. Multi-call sequences (for example
 // Suggest followed by Apply) are NOT atomic as a unit — a server handing
 // one session to several clients must add its own per-session lock around
-// such sequences (internal/server's session store does exactly that).
+// such sequences (the internal/live registry's entry lock does exactly
+// that for crserve's sessions).
 type Session struct {
 	// mu guards every field below. The underlying core.Session is not
 	// concurrency-safe, so all access to it goes through this lock.
