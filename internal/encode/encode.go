@@ -202,8 +202,9 @@ type Encoding struct {
 	projIdx   map[string]int
 	projReps  []int
 	projCnt   []int
-	axAll     []int
-	axNew     map[int]bool
+	axAll     []int     // emitAxiomsOver: the merged values, by position
+	axNew     []bool    // emitAxiomsOver: position holds a new value
+	axLits    []sat.Lit // emitAxiomsOver: k×k literal matrix, noLit = unset
 	factEdges []map[[2]int]bool
 	condVals  []map[int]bool
 }
@@ -882,9 +883,21 @@ func (e *Encoding) emitSparseAxioms(attr relation.Attr, vals []int, facts map[[2
 		order = append(order, v)
 		return i
 	}
+	// Facts in sorted order, so the closure's variable numbering and clause
+	// order do not depend on map iteration.
+	sorted := make([][2]int, 0, len(facts))
+	for f := range facts {
+		sorted = append(sorted, f)
+	}
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i][0] != sorted[j][0] {
+			return sorted[i][0] < sorted[j][0]
+		}
+		return sorted[i][1] < sorted[j][1]
+	})
 	type edge struct{ a, b int }
 	var edges []edge
-	for f := range facts {
+	for _, f := range sorted {
 		edges = append(edges, edge{idx(f[0]), idx(f[1])})
 	}
 	m := len(order)
@@ -1076,7 +1089,7 @@ func (e *Encoding) extendTuples(k int) bool {
 				}
 			}
 		} else {
-			for i := range newJoin[a] {
+			for _, i := range e.sortedKeysScratch(newJoin[a]) {
 				if i != ni {
 					e.addInstance(nil, OrderLit{attr, ni, i}, Source{SrcOrder, -1})
 				}
@@ -1110,7 +1123,7 @@ func (e *Encoding) extendTuples(k int) bool {
 		}
 		bi, _ := e.ValueIndex(cfd.B, cfd.VB)
 		omegaX := e.cfdBody(cfd)
-		for i := range newJoin[cfd.B] {
+		for _, i := range e.sortedKeysScratch(newJoin[cfd.B]) {
 			if i == bi {
 				continue
 			}
@@ -1165,46 +1178,88 @@ func (e *Encoding) emitAxiomsDelta(attr relation.Attr, newVals []int) {
 // emitAxiomsOver emits asymmetry for every unordered pair and transitivity
 // for every ordered triple over old ∪ newVals that involves at least one
 // new value. With an empty old set this is the full axiom emission; with
-// the attribute's previously covered values it is exactly the delta.
+// the attribute's previously covered values it is exactly the delta. Both
+// inputs are sorted and disjoint.
+//
+// The kernel addresses values by their position in the merged list, so the
+// cubic triple loop reads literals from a k×k scratch matrix instead of
+// hashing every atom. Each cell is filled through litRaw on its first use,
+// which keeps variable allocation — and with it the whole formula — in the
+// order a per-atom lookup would produce.
 func (e *Encoding) emitAxiomsOver(attr relation.Attr, old, newVals []int) {
-	all := append(append(e.axAll[:0], old...), newVals...)
-	e.axAll = all
-	sort.Ints(all)
-	if e.axNew == nil {
-		e.axNew = make(map[int]bool, len(newVals))
-	} else {
-		clear(e.axNew)
+	all, isNew := e.axAll[:0], e.axNew[:0]
+	for i, j := 0, 0; i < len(old) || j < len(newVals); {
+		if j == len(newVals) || (i < len(old) && old[i] < newVals[j]) {
+			all, isNew = append(all, old[i]), append(isNew, false)
+			i++
+		} else {
+			all, isNew = append(all, newVals[j]), append(isNew, true)
+			j++
+		}
 	}
-	isNew := e.axNew
-	for _, v := range newVals {
-		isNew[v] = true
+	e.axAll, e.axNew = all, isNew
+	k := len(all)
+	if cap(e.axLits) < k*k {
+		e.axLits = make([]sat.Lit, k*k)
 	}
-	for i := 0; i < len(all); i++ {
-		for j := i + 1; j < len(all); j++ {
-			if !isNew[all[i]] && !isNew[all[j]] {
+	e.axLits = e.axLits[:k*k]
+	for c := range e.axLits {
+		e.axLits[c] = noLit
+	}
+
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			if !isNew[i] && !isNew[j] {
 				continue
 			}
-			x := e.litRaw(attr, all[i], all[j])
-			y := e.litRaw(attr, all[j], all[i])
+			x := e.axLit(attr, i, j)
+			y := e.axLit(attr, j, i)
 			e.cnf.Add(x.Not(), y.Not())
 		}
 	}
-	for _, a1 := range all {
-		for _, a2 := range all {
-			if a1 == a2 {
+	lits := e.axLits
+	for i := 0; i < k; i++ {
+		rowI := lits[i*k : (i+1)*k]
+		for j := 0; j < k; j++ {
+			if i == j {
 				continue
 			}
-			for _, a3 := range all {
-				if a3 == a1 || a3 == a2 || (!isNew[a1] && !isNew[a2] && !isNew[a3]) {
+			rowJ := lits[j*k : (j+1)*k]
+			oldPair := !isNew[i] && !isNew[j]
+			for l := 0; l < k; l++ {
+				if l == i || l == j || (oldPair && !isNew[l]) {
 					continue
 				}
-				e.cnf.Add(
-					e.litRaw(attr, a1, a2).Not(),
-					e.litRaw(attr, a2, a3).Not(),
-					e.litRaw(attr, a1, a3))
+				// a_i ≺ a_j ∧ a_j ≺ a_l → a_i ≺ a_l, looked up in this order.
+				x, y, z := rowI[j], rowJ[l], rowI[l]
+				if x == noLit {
+					x = e.axLit(attr, i, j)
+				}
+				if y == noLit {
+					y = e.axLit(attr, j, l)
+				}
+				if z == noLit {
+					z = e.axLit(attr, i, l)
+				}
+				e.cnf.Add(x.Not(), y.Not(), z)
 			}
 		}
 	}
+}
+
+// noLit marks an axiom-matrix cell whose literal has not been looked up yet.
+const noLit = sat.Lit(-1)
+
+// axLit returns the literal for all[i] ≺ all[j] of the current
+// emitAxiomsOver call, allocating its variable through litRaw on first use.
+func (e *Encoding) axLit(attr relation.Attr, i, j int) sat.Lit {
+	c := i*len(e.axAll) + j
+	if l := e.axLits[c]; l != noLit {
+		return l
+	}
+	l := e.litRaw(attr, e.axAll[i], e.axAll[j])
+	e.axLits[c] = l
+	return l
 }
 
 // FormatLit renders an order atom for diagnostics: "a1 <[attr] a2".

@@ -228,12 +228,26 @@ func requireSameResults(t *testing.T, n int, sharded, single map[int]resultLine)
 	}
 }
 
+// TestShardResolveParity sends distinct entities through the coordinator
+// until both backends have served one (the ring places keys by hash, and
+// the backends' random ports move the ring, so a fixed handful of keys can
+// all land on one backend), checking every entity against a single node.
 func TestShardResolveParity(t *testing.T) {
+	const maxEntities = 64
 	urls := []string{newBackendURL(t), newBackendURL(t)}
 	c, curl := newShard(t, urls, nil)
 	single := newBackendURL(t)
 
-	for i := 0; i < 6; i++ {
+	spread := func() int {
+		n := 0
+		for _, b := range c.backends {
+			if b.requests.Load() > 0 {
+				n++
+			}
+		}
+		return n
+	}
+	for i := 0; i < maxEntities && (i < 6 || spread() < 2); i++ {
 		body := edithResolveBody(t, i)
 		resp, got := postJSON(t, curl+"/v1/resolve", body)
 		if resp.StatusCode != http.StatusOK {
@@ -256,14 +270,8 @@ func TestShardResolveParity(t *testing.T) {
 			}
 		}
 	}
-	var spread int
-	for _, b := range c.backends {
-		if b.requests.Load() > 0 {
-			spread++
-		}
-	}
-	if spread != 2 {
-		t.Fatalf("resolve traffic reached %d of 2 backends", spread)
+	if n := spread(); n != 2 {
+		t.Fatalf("resolve traffic reached %d of 2 backends after %d entities", n, maxEntities)
 	}
 }
 
