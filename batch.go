@@ -304,7 +304,9 @@ func resolveSpecs(specs []*Spec, opts BatchOptions, rules *RuleSet) *BatchResult
 
 	var mu sync.Mutex // guards the aggregate counters
 	var wg sync.WaitGroup
-	jobs := make(chan int)
+	// Workers claim the next index themselves: an entity costs tens of
+	// microseconds, so a per-entity channel handoff would leave them idle.
+	var next atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -315,7 +317,14 @@ func resolveSpecs(specs []*Spec, opts BatchOptions, rules *RuleSet) *BatchResult
 				defer rules.releasePipeline(pl)
 				pipe = pl.p
 			}
-			for i := range jobs {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(specs) {
+					return
+				}
+				if specs[i] == nil {
+					continue
+				}
 				res, err := resolveWith(specs[i], nil, opts.Options, pipe)
 				mu.Lock()
 				if err != nil {
@@ -332,12 +341,6 @@ func resolveSpecs(specs []*Spec, opts BatchOptions, rules *RuleSet) *BatchResult
 			}
 		}()
 	}
-	for i, s := range specs {
-		if s != nil {
-			jobs <- i
-		}
-	}
-	close(jobs)
 	wg.Wait()
 	br.Wall = time.Since(start)
 	return br

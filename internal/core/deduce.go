@@ -51,15 +51,18 @@ func DeduceOrder(enc *encode.Encoding) (*OrderSet, bool) {
 
 // DeduceOrderWith is DeduceOrder against a caller-supplied solver that
 // already holds Φ(Se): the derived order is read off the solver's level-0
-// trail with no clause reload. Called before any search on s it yields
-// exactly the Fig. 5 unit-propagation fixpoint; after a search the trail
-// may also carry learned units — still consequences of Φ(Se), so the
-// result can only soundly grow.
+// trail with no clause reload. Once a learnt clause has fired at level 0
+// (see sat.Solver.Fixpoint) the trail is no longer the Fig. 5 fixpoint, and
+// the deduction falls back to DeduceOrder on a fresh solver.
 func DeduceOrderWith(enc *encode.Encoding, s *sat.Solver) (*OrderSet, bool) {
+	lits, exact := s.Fixpoint()
+	if !exact {
+		return DeduceOrder(enc)
+	}
 	if !s.Okay() {
 		return NewOrderSet(), false
 	}
-	return orderFromTrail(enc, s.Assigned()), true
+	return orderFromTrail(enc, lits), true
 }
 
 // orderFromTrail converts level-0 trail literals into a derived order.
@@ -73,64 +76,6 @@ func orderFromTrail(enc *encode.Encoding, lits []sat.Lit) *OrderSet {
 		od.Add(p)
 	}
 	return od
-}
-
-// propagationFixpoint computes the unit-propagation fixpoint of a formula
-// from scratch, independent of any solver state: the returned literals are
-// exactly what a fresh solver's level-0 trail holds after loading the
-// clauses — the one-literal clauses of Φ(Se) under reduction (Fig. 5). The
-// second result is false when propagation derives a contradiction (Φ is
-// propositionally inconsistent at the top level).
-//
-// Long-lived sessions need this because their own trail snapshot can carry
-// units *learned* during earlier searches: sound consequences of Φ, but a
-// superset of the Fig. 5 fixpoint — and the live upsert path pins its
-// outcomes byte-identical to from-scratch resolution, so it must deduce
-// from the canonical fixpoint, not the accumulated trail.
-func propagationFixpoint(c *sat.CNF) ([]sat.Lit, bool) {
-	// assign[v]: 0 undef, 1 true, -1 false.
-	assign := make([]int8, c.NVars)
-	litVal := func(l sat.Lit) int8 {
-		v := assign[l.Var()]
-		if l.Neg() {
-			return -v
-		}
-		return v
-	}
-	var out []sat.Lit
-	for changed := true; changed; {
-		changed = false
-		for _, cl := range c.Clauses {
-			var unit sat.Lit
-			undef, satisfied := 0, false
-			for _, l := range cl {
-				switch litVal(l) {
-				case 1:
-					satisfied = true
-				case 0:
-					undef++
-					unit = l
-				}
-				if satisfied || undef > 1 {
-					break
-				}
-			}
-			if satisfied || undef > 1 {
-				continue
-			}
-			if undef == 0 {
-				return nil, false // every literal false: conflict
-			}
-			if unit.Neg() {
-				assign[unit.Var()] = -1
-			} else {
-				assign[unit.Var()] = 1
-			}
-			out = append(out, unit)
-			changed = true
-		}
-	}
-	return out, true
 }
 
 // NaiveDeduce implements the exact baseline of Section V-B: for every order

@@ -143,48 +143,34 @@ func (e *sessionEngine) stats() SessionStats                             { retur
 
 // scratchEngine is the pre-session baseline: re-encode the specification at
 // the top of every round into a fresh encoding and solver. The round's
-// phases share that one solver — Φ(Se) is loaded once per round, the
-// propagation fixpoint snapshotted before any search (so deduction still
-// reads exactly the Fig. 5 fixpoint), and validity/naive-deduction queries
-// run on the loaded solver instead of paying a redundant clause load per
-// phase.
+// phases share that one solver — Φ(Se) is loaded once per round, and
+// validity, Fig. 5 deduction and naive-deduction queries run on the loaded
+// solver instead of paying a redundant clause load per phase.
 type scratchEngine struct {
 	cur  *model.Spec
 	opts encode.Options
 	enc  *encode.Encoding
 
-	solver     *sat.Solver
-	consistent bool
-	fixpoint   []sat.Lit
+	solver *sat.Solver
 }
 
 func (e *scratchEngine) beginRound() *encode.Encoding {
 	e.enc = encode.Build(e.cur, e.opts) //crlint:ignore encodingalias standalone Build allocates fresh storage; no Skeleton is reused
 	e.solver = sat.New()
-	e.consistent = e.enc.CNF().LoadInto(e.solver)
-	if e.consistent {
-		e.fixpoint = e.solver.Assigned()
-	} else {
-		e.fixpoint = nil
-	}
+	e.enc.CNF().LoadInto(e.solver) // an inconsistent load leaves e.solver !Okay, which every phase checks
 	return e.enc
 }
 func (e *scratchEngine) isValid() bool {
-	if !e.consistent {
-		return false
-	}
 	ok, _ := IsValidWith(e.solver)
 	return ok
 }
 func (e *scratchEngine) deduce(naive bool) *OrderSet {
-	if !e.consistent {
-		return NewOrderSet()
-	}
 	if naive {
 		od, _ := NaiveDeduceWith(e.enc, e.solver)
 		return od
 	}
-	return orderFromTrail(e.enc, e.fixpoint)
+	od, _ := DeduceOrderWith(e.enc, e.solver)
+	return od
 }
 func (e *scratchEngine) suggest(od *OrderSet, resolved map[relation.Attr]relation.Value) Suggestion {
 	return Suggest(e.enc, od, resolved)

@@ -43,15 +43,6 @@ type Session struct {
 	pipe   *Pipeline // non-nil: skeleton builds + pooled solver reuse
 	loaded int       // prefix of enc.CNF().Clauses attached to solver
 
-	// fixpoint snapshots the solver's level-0 trail right after clause
-	// loading, before any search: at round 0 this is exactly the unit
-	// propagation fixpoint of Φ(Se) — the one-literal clauses of Fig. 5 —
-	// so DeduceOrder agrees with the from-scratch algorithm. After a search
-	// it may also carry learned units: still consequences of Φ, so later
-	// rounds deduce at least as much, never unsoundly more.
-	fixpoint   []sat.Lit
-	consistent bool
-
 	validKnown bool
 	valid      bool
 	model      []bool
@@ -96,9 +87,15 @@ func (s *Session) install(enc *encode.Encoding) {
 		}
 		s.solveBase = s.solver.Stats.Solves
 	}
+	s.rebuilds++
+	s.reload()
+}
+
+// reload resets the session's solver and loads the whole current formula,
+// dropping every learnt clause and the cached validity verdict.
+func (s *Session) reload() {
 	s.solver.Reset()
 	s.loaded = 0
-	s.rebuilds++
 	s.validKnown = false
 	s.model = nil
 	s.sync()
@@ -114,7 +111,7 @@ func (s *Session) buildEncoding(spec *model.Spec) *encode.Encoding {
 }
 
 // sync attaches clauses appended to the encoding since the last load (delta
-// only) and refreshes the propagation-fixpoint snapshot.
+// only).
 func (s *Session) sync() {
 	cnf := s.enc.CNF()
 	if s.loaded < len(cnf.Clauses) || s.solver.NumVars() < cnf.NVars {
@@ -123,9 +120,7 @@ func (s *Session) sync() {
 		s.loaded = len(cnf.Clauses)
 		s.validKnown = false
 		s.model = nil
-		s.fixpoint = s.solver.Assigned()
 	}
-	s.consistent = s.solver.Okay()
 }
 
 // Encoding returns the session's current encoding. It changes identity on
@@ -152,7 +147,7 @@ func (s *Session) Stats() SessionStats {
 // model-seeded deduction share one root solve.
 func (s *Session) IsValid() (bool, []bool) {
 	s.sync()
-	if !s.consistent {
+	if !s.solver.Okay() {
 		return false, nil
 	}
 	if !s.validKnown {
@@ -163,7 +158,6 @@ func (s *Session) IsValid() (bool, []bool) {
 		} else {
 			s.model = nil
 		}
-		s.consistent = s.solver.Okay()
 	}
 	if !s.valid {
 		return false, nil
@@ -172,35 +166,28 @@ func (s *Session) IsValid() (bool, []bool) {
 }
 
 // DeduceOrder implements the algorithm of Fig. 5 against the session state:
-// the derived order is read off the solver's level-0 trail snapshot — no
-// solver construction, no clause reload, no search.
+// the derived order is read off the solver's level-0 trail — no solver
+// construction, no search. The trail is the Fig. 5 fixpoint while no learnt
+// clause has fired at level 0 (sat.Solver.Fixpoint); once one has, the
+// session reloads Φ(Se) into its own solver first, so the result never
+// depends on the searches that preceded it. The reload counts towards
+// ClausesLoaded but not Rebuilds: the encoding is unchanged.
 func (s *Session) DeduceOrder() (*OrderSet, bool) {
 	s.sync()
-	if !s.consistent {
-		return NewOrderSet(), false
+	lits, exact := s.solver.Fixpoint()
+	if !exact {
+		s.reload()
+		lits, _ = s.solver.Fixpoint()
 	}
-	return orderFromTrail(s.enc, s.fixpoint), true
-}
-
-// DeduceOrderExact is DeduceOrder pinned to the canonical Fig. 5 fixpoint:
-// the derived order is recomputed by pure unit propagation over the
-// session's current formula instead of read off the solver's trail. The
-// trail snapshot is exact at round 0 but may carry learned units after
-// searches; the live upsert path byte-compares its outcomes against
-// from-scratch resolution after every delta, so it deduces from the
-// propagation fixpoint a fresh build would produce. Costs one pass-to-
-// fixpoint over Φ(Se) — no solver construction, no search.
-func (s *Session) DeduceOrderExact() (*OrderSet, bool) {
-	s.sync()
-	if !s.consistent {
-		return NewOrderSet(), false
-	}
-	lits, ok := propagationFixpoint(s.enc.CNF())
-	if !ok {
+	if !s.solver.Okay() {
 		return NewOrderSet(), false
 	}
 	return orderFromTrail(s.enc, lits), true
 }
+
+// DeduceOrderExact is an alias of DeduceOrder, kept only because the
+// benchmark harness in perfbench/ calls it by this name.
+func (s *Session) DeduceOrderExact() (*OrderSet, bool) { return s.DeduceOrder() }
 
 // NaiveDeduce is the exact per-variable deduction of Section V-B served by
 // the shared solver: the cached validity model prunes half the coNP queries
@@ -233,7 +220,7 @@ func (s *Session) NaiveDeduce() (*OrderSet, bool) {
 // the session solver.
 func (s *Session) Implies(l encode.OrderLit) bool {
 	s.sync()
-	if !s.consistent {
+	if !s.solver.Okay() {
 		return true // inconsistent Φ implies everything
 	}
 	lit, ok := s.enc.LitFor(l)

@@ -215,31 +215,35 @@ func TestSessionResolveInteractiveFixtures(t *testing.T) {
 	}
 }
 
+// randomInteractiveCase draws one specification and a ground truth for it:
+// a random tuple over the pools, occasionally out-of-domain.
+func randomInteractiveCase(rng *rand.Rand) (*model.Spec, relation.Tuple) {
+	spec := randomSpec(rng)
+	sch := spec.Schema()
+	truth := relation.NewTuple(sch)
+	in := spec.TI.Inst
+	for a := 0; a < sch.Len(); a++ {
+		dom := in.ActiveDomain(relation.Attr(a))
+		if len(dom) == 0 {
+			continue
+		}
+		if rng.Intn(5) == 0 {
+			truth[a] = relation.String(fmt.Sprintf("fresh%d", a))
+		} else {
+			truth[a] = dom[rng.Intn(len(dom))]
+		}
+	}
+	return spec, truth
+}
+
 // TestSessionResolveInteractiveRandom compares the two engines across
 // randomized interactive runs: validity must agree, and wherever both
-// resolve an attribute the values must match. (The session may resolve
-// more: after a search its propagation fixpoint also carries learned units,
-// a documented, sound strengthening.)
+// resolve an attribute the values must match.
 func TestSessionResolveInteractiveRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(24680))
 	checked, extended := 0, 0
 	for iter := 0; iter < 120; iter++ {
-		spec := randomSpec(rng)
-		// Truth: a random tuple over the pools, occasionally out-of-domain.
-		sch := spec.Schema()
-		truth := relation.NewTuple(sch)
-		in := spec.TI.Inst
-		for a := 0; a < sch.Len(); a++ {
-			dom := in.ActiveDomain(relation.Attr(a))
-			if len(dom) == 0 {
-				continue
-			}
-			if rng.Intn(5) == 0 {
-				truth[a] = relation.String(fmt.Sprintf("fresh%d", a))
-			} else {
-				truth[a] = dom[rng.Intn(len(dom))]
-			}
-		}
+		spec, truth := randomInteractiveCase(rng)
 		oracle := func() Oracle { return &SimulatedUser{Truth: truth, MaxPerRound: 1} }
 		sessOut, err1 := Resolve(spec.Clone(), oracle(), Options{MaxRounds: 4})
 		scratchOut, err2 := Resolve(spec.Clone(), oracle(), Options{MaxRounds: 4, FromScratch: true})
@@ -271,6 +275,58 @@ func TestSessionResolveInteractiveRandom(t *testing.T) {
 		t.Fatal("no incremental extensions exercised; generator too weak")
 	}
 	t.Logf("compared %d interactive runs, %d incremental extensions", checked, extended)
+}
+
+// fixpointCheckEngine is the session engine with a differential check at
+// every deduction: the session's DeduceOrder must equal DeduceOrder on a
+// fresh solver loaded with the session's current formula.
+type fixpointCheckEngine struct {
+	sessionEngine
+	t       *testing.T
+	iter    int
+	rounds  int
+	reloads int // deductions that found a learnt clause fired at level 0
+}
+
+func (e *fixpointCheckEngine) deduce(bool) *OrderSet {
+	if _, exact := e.s.solver.Fixpoint(); !exact {
+		e.reloads++
+	}
+	got, gotOK := e.s.DeduceOrder()
+	enc := e.s.Encoding()
+	want, wantOK := DeduceOrder(enc)
+	if gotOK != wantOK || got.Len() != want.Len() || !got.Contains(want) {
+		e.t.Fatalf("iter %d round %d: session deduced %d atoms (ok=%v), fresh solver %d (ok=%v)",
+			e.iter, e.rounds, got.Len(), gotOK, want.Len(), wantOK)
+	}
+	e.rounds++
+	return got
+}
+
+// TestSessionDeduceOrderIsFreshFixpoint pins the one Fig. 5 contract over
+// TestSessionResolveInteractiveRandom's generator: after every round the
+// session's deduction equals a fresh solver's, including after searches
+// that learnt units — which the run must exercise at least once.
+func TestSessionDeduceOrderIsFreshFixpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(24680))
+	rounds, reloads := 0, 0
+	for iter := 0; iter < 120; iter++ {
+		spec, truth := randomInteractiveCase(rng)
+		if spec.Validate() != nil {
+			continue
+		}
+		eng := &fixpointCheckEngine{sessionEngine: sessionEngine{s: NewSession(spec, encode.Options{})}, t: t, iter: iter}
+		oracle := &SimulatedUser{Truth: truth, MaxPerRound: 1}
+		if _, err := resolveLoop(eng, spec.Schema(), oracle, Options{MaxRounds: 4}); err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		rounds += eng.rounds
+		reloads += eng.reloads
+	}
+	if reloads == 0 {
+		t.Fatalf("no deduction followed a learnt unit in %d rounds; the reload branch went untested", rounds)
+	}
+	t.Logf("checked %d deductions, %d after a reload", rounds, reloads)
 }
 
 // TestSessionExtendMatchesRebuild drives the encoding-level ⊕ Ot delta

@@ -7,13 +7,14 @@
 //   - Rows deltas (change-data capture) fold new rows and currency edges
 //     into a LiveSession — a pooled pipeline held for the entry's lifetime —
 //     incrementally when the delta is monotone, by automatic re-encode
-//     otherwise. Rows are never rolled back, and deduction is the canonical
-//     propagation fixpoint, so outcomes match from-scratch resolution.
+//     otherwise. Rows are never rolled back.
 //   - Answers deltas (interactive resolution) fold one round of user
 //     answers into a conflictres.Session (Se ⊕ Ot). The first delta seeds
 //     the session with the entity's rows; a round that contradicts the
-//     specification is rolled back and not logged. Deduction reads the
-//     solver trail.
+//     specification is rolled back and not logged.
+//
+// Both facades deduce the one Fig. 5 fixpoint (core.Session.DeduceOrder),
+// so their outcomes match from-scratch resolution of the same rows.
 //
 // The freshly resolved state is copied out before anything else can touch
 // the encoding. Capacity is bounded by LRU eviction, idle entries expire by
@@ -126,7 +127,7 @@ type facade interface {
 	close()
 }
 
-// rowsFacade holds a rows entity: no rollback, canonical fixpoint.
+// rowsFacade holds a rows entity: deltas are never rolled back.
 type rowsFacade struct{ ls *conflictres.LiveSession }
 
 func (f rowsFacade) apply(op *Op) (bool, error) {

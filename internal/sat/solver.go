@@ -57,6 +57,10 @@ type Solver struct {
 	ok       bool  // false once a top-level contradiction is derived
 	model    []bool
 	haveModl bool
+	// rootLearnt is set once a learnt clause has fired at level 0: from
+	// then on the level-0 trail may hold more than the unit-propagation
+	// fixpoint of the problem clauses (see Fixpoint). Reset clears it.
+	rootLearnt bool
 
 	// Stats counts solver work; useful for benchmarks and tuning. The
 	// counters are cumulative across Reset — they describe the solver's
@@ -117,6 +121,7 @@ func (s *Solver) Reset() {
 	s.varInc, s.claInc = 1, 1
 	s.ok = true
 	s.haveModl = false
+	s.rootLearnt = false
 	s.MaxConflicts = 0
 }
 
@@ -274,6 +279,9 @@ func (s *Solver) uncheckedEnqueue(l Lit, from clauseRef) {
 	s.reason[v] = from
 	s.level[v] = s.decisionLevel()
 	s.trail = append(s.trail, l)
+	if from != noClause && s.level[v] == 0 && s.arena[from].learnt {
+		s.rootLearnt = true
+	}
 }
 
 // propagate performs unit propagation; it returns the conflicting clause or
@@ -310,7 +318,12 @@ func (s *Solver) propagate() clauseRef {
 			// Clause is unit or conflicting.
 			kept = append(kept, cr)
 			if s.value(c.lits[0]) == lFalse {
-				// Conflict: keep remaining watchers and bail.
+				// Conflict: keep remaining watchers and bail. A learnt
+				// clause falsified at level 0 makes the solver inconsistent
+				// where the problem clauses alone may propagate cleanly.
+				if c.learnt && s.decisionLevel() == 0 {
+					s.rootLearnt = true
+				}
 				kept = append(kept, ws[ci+1:]...)
 				s.watches[falseLit] = kept
 				s.qhead = len(s.trail)
@@ -586,6 +599,7 @@ func (s *Solver) search(assumptions []Lit, budget int64, total *int64, maxLearnt
 			s.cancelUntil(btLevel)
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], noClause)
+				s.rootLearnt = true
 			} else {
 				cr := s.newClause(learnt, true)
 				s.attach(cr)
@@ -646,16 +660,23 @@ func (s *Solver) Model() []bool {
 // (false after a contradiction was added or derived).
 func (s *Solver) Okay() bool { return s.ok }
 
-// Assigned returns the literals currently assigned at decision level 0 —
-// the unit-propagation fixpoint of the clauses added so far. This is the
-// engine behind the paper's DeduceOrder: loading Φ(Se) into a solver
-// propagates exactly the one-literal clauses the algorithm of Fig. 5
-// collects and reduces by.
-func (s *Solver) Assigned() []Lit {
+// Fixpoint returns the literals assigned at decision level 0. While ok is
+// true this is exactly the unit-propagation fixpoint of the problem clauses
+// added so far — the one-literal clauses the algorithm of Fig. 5 collects
+// and reduces by, i.e. the engine behind the paper's DeduceOrder. Every
+// level-0 literal was then derived from problem clauses, AddClause stripped
+// and dropped clauses using only those literals, and the UP closure is a
+// unique least fixpoint, so clause order does not matter.
+//
+// ok turns false once a learnt clause has fired at level 0 (a learnt unit,
+// a level-0 literal whose reason is learnt, or a learnt clause falsified at
+// level 0): the trail may then also hold consequences found by search.
+// Reset and a reload restore it.
+func (s *Solver) Fixpoint() (lits []Lit, ok bool) {
 	if s.decisionLevel() != 0 {
-		panic("sat: Assigned above decision level 0")
+		panic("sat: Fixpoint above decision level 0")
 	}
-	return append([]Lit(nil), s.trail...)
+	return append([]Lit(nil), s.trail...), !s.rootLearnt
 }
 
 // Value reports the top-level (decision level 0) forced value of v after a

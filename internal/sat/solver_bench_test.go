@@ -82,7 +82,7 @@ func BenchmarkPropagationOnly(b *testing.B) {
 		if !c.LoadInto(s) {
 			b.Fatal("chain must stay consistent")
 		}
-		if len(s.Assigned()) != n {
+		if lits, _ := s.Fixpoint(); len(lits) != n {
 			b.Fatal("chain must fully propagate")
 		}
 	}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -59,19 +60,35 @@ func (c *Coordinator) handleEntityProxy(w http.ResponseWriter, r *http.Request) 
 			cancel()
 		}
 	}()
-	var tried uint64
+	// backoff charges one more attempt to the request's retry budget and
+	// sleeps it off; false means the budget is spent and w is answered.
 	attempt := 0
-	for {
-		b, idx := c.route(key, tried)
-		if b == nil {
-			c.met.noBackend.Add(1)
-			c.writeError(w, http.StatusServiceUnavailable, codeNoBackend, "no live backend for entity")
-			return
+	backoff := func(cause error) bool {
+		attempt++
+		if cancel == nil {
+			ctx, cancel = c.retryBudgetCtx(r.Context())
 		}
-		if tried != 0 {
+		if err := c.retry.Sleep(ctx, attempt, c.jitter); err != nil {
+			c.budgetExhausted(w, cause)
+			return false
+		}
+		return true
+	}
+	var tried uint64
+	var b *backend
+	idx := -1
+	for {
+		if b == nil {
+			if b, idx = c.route(key, tried); b == nil {
+				c.met.noBackend.Add(1)
+				c.writeError(w, http.StatusServiceUnavailable, codeNoBackend, "no live backend for entity")
+				return
+			}
+			tried |= 1 << uint(idx)
+		}
+		if attempt > 0 {
 			b.retries.Add(1)
 		}
-		tried |= 1 << uint(idx)
 		status, data, retryable, err := c.do(ctx, b, r.Method, path, contentType, body)
 		if err != nil {
 			if !retryable {
@@ -82,12 +99,19 @@ func (c *Coordinator) handleEntityProxy(w http.ResponseWriter, r *http.Request) 
 			// the warm replica. Back off first — the owner may only have
 			// blipped, and its replica needs a moment to absorb in-flight
 			// forwards.
-			attempt++
-			if cancel == nil {
-				ctx, cancel = c.retryBudgetCtx(r.Context())
+			b = nil
+			if !backoff(err) {
+				return
 			}
-			if serr := c.retry.Sleep(ctx, attempt, c.jitter); serr != nil {
-				c.budgetExhausted(w, err)
+			continue
+		}
+		if r.Method == http.MethodPost && isEntityBusy(status, data) && (attempt > 0 || c.repl.forwarding(key)) {
+			// The entity is held by the coordinator's own traffic: this
+			// upsert's earlier attempt (sent, then lost on the wire) or a
+			// replica forward of an earlier delta. Either settles shortly:
+			// wait, then resend to the backend that answered. A busy answer
+			// with neither cause is a client racing itself and is relayed.
+			if !backoff(fmt.Errorf("entity %s busy on %s", key, b.url)) {
 				return
 			}
 			continue
@@ -95,6 +119,18 @@ func (c *Coordinator) handleEntityProxy(w http.ResponseWriter, r *http.Request) 
 		c.finishEntity(w, r.Method, key, path, idx, primary, status, data, body)
 		return
 	}
+}
+
+// isEntityBusy reports whether a backend answer is 409 entity_busy: the
+// entity was in use by another operation when the request arrived.
+func isEntityBusy(status int, data []byte) bool {
+	if status != http.StatusConflict {
+		return false
+	}
+	var env struct {
+		Error *errorJSON `json:"error"`
+	}
+	return json.Unmarshal(data, &env) == nil && env.Error != nil && env.Error.Code == "entity_busy"
 }
 
 // finishEntity relays a backend's answer to the client and runs the

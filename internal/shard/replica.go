@@ -145,6 +145,15 @@ func (t *replTracker) lag(key string, idx int) int64 {
 	return 0
 }
 
+// forwarding reports whether key's replication drain is running: a forward
+// of an earlier delta may be holding the entity on a backend right now.
+func (t *replTracker) forwarding(key string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	st, ok := t.m[key]
+	return ok && st.draining
+}
+
 // pending reports queued-but-unsent replication jobs across all keys (the
 // crshard_replica_pending gauge; tests poll it to flush replication).
 func (t *replTracker) pending() int {

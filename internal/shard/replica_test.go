@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -215,6 +216,106 @@ func TestEntityDeleteInvalidatesReplica(t *testing.T) {
 	resp, body := entityGetRaw(t, base, key)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("deleted entity resurrected on the replica: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestEntityRetriedUpsertBusyResent pins the coordinator's answer to a
+// retried upsert that finds the entity busy: the first POST dies on the
+// wire, the retry lands on the sibling and gets 409 entity_busy (the entity
+// is still held, e.g. by a replica forward), and the coordinator backs off
+// and resends to that same backend instead of relaying the 409.
+func TestEntityRetriedUpsertBusyResent(t *testing.T) {
+	var mu sync.Mutex
+	var served []string // backend name per POST: drop, busy, then ok
+	stub := func(name string) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodGet {
+				w.Write([]byte(`{"status":"ok"}`))
+				return
+			}
+			io.Copy(io.Discard, r.Body)
+			mu.Lock()
+			n := len(served)
+			served = append(served, name)
+			mu.Unlock()
+			w.Header().Set("Content-Type", "application/json")
+			switch n {
+			case 0:
+				if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+					conn.Close()
+				}
+			case 1:
+				w.WriteHeader(http.StatusConflict)
+				w.Write([]byte(`{"error":{"code":"entity_busy","message":"entity is busy"}}`))
+			default:
+				w.Write([]byte(`{"valid":true,"rows":1}`))
+			}
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	_, base := newShard(t, []string{stub("b0"), stub("b1")}, func(cfg *Config) {
+		cfg.RetryBase = time.Millisecond
+		cfg.RetryCap = 5 * time.Millisecond
+		cfg.RetryBudget = 5 * time.Second
+	})
+
+	st, status := entityUpsert(t, base, "busy-entity", []any{liveRow("Edith Busy", 1)})
+	if status != http.StatusOK {
+		t.Fatalf("upsert answered %d %v, want 200 after resending the busy retry", status, st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(served) < 3 || served[0] == served[1] || served[1] != served[2] {
+		t.Fatalf("POSTs went to %v: the retry must fail over, the busy resend must stay on the backend that answered", served)
+	}
+}
+
+// TestEntityBusyDuringForwardResent: a first-attempt upsert answered 409
+// entity_busy is the client's own race and is relayed — unless a replica
+// forward for the key is in flight, which may be what holds the entity; then
+// the coordinator backs off and resends.
+func TestEntityBusyDuringForwardResent(t *testing.T) {
+	var mu sync.Mutex
+	posts := 0
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			w.Write([]byte(`{"status":"ok"}`))
+			return
+		}
+		io.Copy(io.Discard, r.Body)
+		mu.Lock()
+		posts++
+		busy := posts <= 2 // each upsert's first POST finds the entity busy
+		mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		if busy {
+			w.WriteHeader(http.StatusConflict)
+			w.Write([]byte(`{"error":{"code":"entity_busy","message":"entity is busy"}}`))
+			return
+		}
+		w.Write([]byte(`{"valid":true,"rows":1}`))
+	}))
+	t.Cleanup(ts.Close)
+	c, base := newShard(t, []string{ts.URL}, func(cfg *Config) {
+		cfg.RetryBase = time.Millisecond
+		cfg.RetryCap = 5 * time.Millisecond
+	})
+	const key = "forwarded-entity"
+
+	if _, status := entityUpsert(t, base, key, []any{liveRow("Edith Busy", 1)}); status != http.StatusConflict {
+		t.Fatalf("busy with no forward in flight answered %d, want the 409 relayed", status)
+	}
+	c.repl.mu.Lock()
+	c.repl.state(key).draining = true
+	c.repl.mu.Unlock()
+	if st, status := entityUpsert(t, base, key, []any{liveRow("Edith Busy", 2)}); status != http.StatusOK {
+		t.Fatalf("busy during a forward answered %d %v, want 200 after a resend", status, st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if posts != 3 {
+		t.Fatalf("backend saw %d POSTs, want 3 (busy relayed; busy, resend)", posts)
 	}
 }
 

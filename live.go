@@ -213,10 +213,9 @@ func (ls *LiveSession) Close() {
 }
 
 // refresh recomputes the copied-out state snapshot from the session.
-// Deduction uses the canonical propagation fixpoint (DeduceOrderExact), not
-// the solver trail: the trail accumulates learned units across upserts,
-// which are sound but would make live outcomes drift from the from-scratch
-// resolution the differential layer compares against.
+// Deduction reads the Fig. 5 fixpoint of the accumulated formula — the same
+// one a from-scratch resolution computes, whatever the session's earlier
+// searches learnt (see core.Session.DeduceOrder).
 func (ls *LiveSession) refresh() {
 	st := LiveState{Rows: ls.sess.Spec().TI.Inst.Len()}
 	stats := ls.sess.Stats()
@@ -230,7 +229,7 @@ func (ls *LiveSession) refresh() {
 			st.Valid = true
 			st.Resolved = fr.Resolved
 			st.Tuple = fr.Tuple
-		} else if od, ok := ls.sess.DeduceOrderExact(); ok {
+		} else if od, ok := ls.sess.DeduceOrder(); ok {
 			st.Valid = true
 			enc := ls.sess.Encoding()
 			st.Resolved = core.TrueValues(enc, od)
