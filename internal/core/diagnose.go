@@ -46,9 +46,10 @@ func (c Conflict) Format(enc *encode.Encoding) string {
 
 // Diagnose computes a subset-minimal conflicting core of Ω(Se) for an
 // invalid specification, by deletion-based minimization: order axioms
-// (transitivity, asymmetry) are kept hard, and instances are dropped one at
-// a time while the remainder stays unsatisfiable. It returns ok=false when
-// the specification is actually valid.
+// (asymmetry clauses, transitivity order groups) are kept hard, and
+// instances are dropped one at a time while the remainder stays
+// unsatisfiable. It returns ok=false when the specification is actually
+// valid.
 //
 // One incremental solver carries all |Ω|+1 minimization queries: each
 // instance clause is guarded by a fresh selector variable s_i (the solver
@@ -61,22 +62,24 @@ func Diagnose(enc *encode.Encoding) (Conflict, bool) {
 		instClause[ci] = true
 	}
 
+	cnf := enc.CNF()
 	s := sat.New()
-	for s.NumVars() < enc.CNF().NVars {
+	for s.NumVars() < cnf.NVars {
 		s.NewVar()
 	}
-	for ci, cl := range enc.CNF().Clauses {
+	for ci, cl := range cnf.Clauses {
 		if instClause[ci] {
 			continue
 		}
 		s.AddClause(cl...) // axioms alone contradictory leaves s.Okay() false
 	}
+	cnf.AppendInto(s, len(cnf.Clauses)) // no clause left to append: installs the order groups, hard
 	sel := make([]sat.Lit, len(enc.Omega))
 	for i, ci := range enc.InstanceClauseIndex() {
 		v := s.NewVar()
 		sel[i] = sat.PosLit(v)
 		// The fresh unassigned guard ¬s_i keeps this addition conflict-free.
-		s.AddClause(append([]sat.Lit{sat.NegLit(v)}, enc.CNF().Clauses[ci]...)...)
+		s.AddClause(append([]sat.Lit{sat.NegLit(v)}, cnf.Clauses[ci]...)...)
 	}
 
 	keep := make([]bool, len(sel))

@@ -414,7 +414,8 @@ func containsNull(s string) bool {
 
 // diagnoseReference is the pre-session Diagnose: a fresh solver per
 // minimization step, relying on the instances-first clause layout of a
-// fresh Build. Kept here as the differential baseline.
+// fresh Build, with the order groups installed as hard constraints. Kept
+// here as the differential baseline.
 func diagnoseReference(enc *encode.Encoding) (Conflict, bool) {
 	all := enc.CNF().Clauses
 	n := len(enc.Omega)
@@ -429,7 +430,7 @@ func diagnoseReference(enc *encode.Encoding) (Conflict, bool) {
 		for s.NumVars() < nVars {
 			s.NewVar()
 		}
-		okAll := true
+		okAll := enc.CNF().AppendInto(s, len(all)) // order groups only, hard
 		for _, cl := range axioms {
 			if !s.AddClause(cl...) {
 				okAll = false

@@ -7,8 +7,11 @@
 //
 //  1. currency-order facts from the explicit edges of It, plus the implicit
 //     "null ranks lowest" edges;
-//  2. transitivity and asymmetry axioms making each ≺v_A a strict partial
-//     order;
+//  2. asymmetry and transitivity axioms making each ≺v_A a strict partial
+//     order: asymmetry as binary clauses, transitivity as one order group
+//     per attribute (sat.Group), which stands for the transitivity clause
+//     of every ordered triple of the attribute's covered values without
+//     storing any of them — the solver propagates it directly;
 //  3. one instance constraint per currency constraint and tuple pair whose
 //     statically evaluable body conjuncts hold;
 //  4. for each constant CFD tp[X] → tp[B] and each b ∈ adom(B)\{tp[B]}, the
@@ -19,11 +22,12 @@
 // DESIGN.md: (a) tuple pairs are grouped by their projection onto the
 // attributes a constraint actually references, which yields the same set of
 // instance constraints with far less work on large entity instances; and
-// (b) transitivity axioms are emitted in full only for attributes whose
+// (b) an attribute's order group covers every active value only while the
 // active value set is small (TransitivityCap); larger attributes get a
-// sound sparse encoding (closed unit facts plus bridge clauses), which can
-// only under-constrain — the same direction of incompleteness the paper
-// accepts for its SAT reduction.
+// sound sparse encoding (closed unit facts plus bridge clauses, and a group
+// over the values of conditional clauses only), which can only
+// under-constrain — the same direction of incompleteness the paper accepts
+// for its SAT reduction.
 //
 // Encodings are built either standalone (Build) or through a Skeleton,
 // which pre-compiles the entity-independent parts of a rule set and reuses
@@ -34,6 +38,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"conflictres/internal/constraint"
@@ -77,8 +82,8 @@ type Instance struct {
 // Options tunes the encoder.
 type Options struct {
 	// TransitivityCap is the per-attribute active-value count up to which
-	// the full cubic transitivity axioms are emitted; above it the sparse
-	// encoding is used. Zero means the default (50).
+	// the attribute's order group covers every active value; above it the
+	// sparse encoding is used. Zero means the default (50).
 	TransitivityCap int
 	// NoProjectionDedup disables grouping tuples by constraint projection
 	// and instantiates over raw tuple pairs, the literal O(|Σ||It|²)
@@ -204,7 +209,8 @@ type Encoding struct {
 	projCnt   []int
 	axAll     []int     // emitAxiomsOver: the merged values, by position
 	axNew     []bool    // emitAxiomsOver: position holds a new value
-	axLits    []sat.Lit // emitAxiomsOver: k×k literal matrix, noLit = unset
+	axLits    []sat.Lit // emitAxiomsOver: k×k pair-literal matrix
+	axPos     []int     // emitAxiomsOver: group members' positions
 	factEdges []map[[2]int]bool
 	condVals  []map[int]bool
 }
@@ -805,8 +811,14 @@ func (e *Encoding) cfdBody(cfd constraint.CFD) []OrderLit {
 // each attribute's active values — the values actually mentioned by some
 // fact or instance constraint. Unmentioned values are unconstrained and can
 // be inserted anywhere in a completion, so axioms about them change nothing.
+// Transitivity is carried by order groups, one per attribute: CNF group a
+// is attribute a's.
 func (e *Encoding) emitAxioms(transCap int) {
 	n := e.Schema.Len()
+	e.cnf.Groups = slices.Grow(e.cnf.Groups, n)
+	for a := 0; a < n; a++ {
+		e.cnf.NewGroup()
+	}
 	mark := func(l OrderLit, unit bool) {
 		e.active[l.Attr][l.A1] = true
 		e.active[l.Attr][l.A2] = true
@@ -859,8 +871,8 @@ func sortedKeys(m map[int]bool) []int {
 	return out
 }
 
-// emitFullAxioms adds pairwise asymmetry and all-triples transitivity over
-// the given value indices.
+// emitFullAxioms adds pairwise asymmetry over the given value indices and
+// makes them the members of the attribute's order group.
 func (e *Encoding) emitFullAxioms(attr relation.Attr, vals []int) {
 	e.emitAxiomsOver(attr, nil, vals)
 }
@@ -968,8 +980,8 @@ func (e *Encoding) emitSparseAxioms(attr relation.Attr, vals []int, facts map[[2
 // specification would add: order-fact units for the new edges, null-lowest
 // facts for values joining an attribute's active domain, currency instances
 // pairing every existing tuple with t_o, CFD instances whose head ranges
-// over the newly joined values, and asymmetry/transitivity axioms involving
-// at least one newly active value.
+// over the newly joined values, and asymmetry clauses and order-group joins
+// for the newly active values.
 //
 // It returns false when the extension is not expressible as a monotone
 // clause addition and the caller must rebuild via Build(e.Spec, opts):
@@ -1160,7 +1172,7 @@ func (e *Encoding) extendTuples(k int) bool {
 		if len(newActive[a]) == 0 {
 			continue
 		}
-		e.emitAxiomsDelta(relation.Attr(a), sortedKeys(newActive[a]))
+		e.emitAxiomsOver(relation.Attr(a), sortedKeys(e.active[a]), sortedKeys(newActive[a]))
 		for i := range newActive[a] {
 			e.active[a][i] = true
 		}
@@ -1168,24 +1180,17 @@ func (e *Encoding) extendTuples(k int) bool {
 	return true
 }
 
-// emitAxiomsDelta extends the full asymmetry/transitivity axioms of one
-// attribute to newly active values: every pair and triple involving at least
-// one new value is emitted; axioms among the old values already exist.
-func (e *Encoding) emitAxiomsDelta(attr relation.Attr, newVals []int) {
-	e.emitAxiomsOver(attr, sortedKeys(e.active[attr]), newVals)
-}
-
-// emitAxiomsOver emits asymmetry for every unordered pair and transitivity
-// for every ordered triple over old ∪ newVals that involves at least one
-// new value. With an empty old set this is the full axiom emission; with
-// the attribute's previously covered values it is exactly the delta. Both
+// emitAxiomsOver extends attribute attr's strict-order axioms to newVals:
+// an asymmetry clause for every unordered pair over old ∪ newVals that
+// involves a new value, and the new values join the attribute's order
+// group, which stands for transitivity over every ordered triple of its
+// members. With an empty old set this is the full axiom emission; with the
+// attribute's previously covered values it is exactly the delta. Both
 // inputs are sorted and disjoint.
 //
-// The kernel addresses values by their position in the merged list, so the
-// cubic triple loop reads literals from a k×k scratch matrix instead of
-// hashing every atom. Each cell is filled through litRaw on its first use,
-// which keeps variable allocation — and with it the whole formula — in the
-// order a per-atom lookup would produce.
+// Values are addressed by their position in the merged list: the asymmetry
+// loop allocates every pair variable in the order a per-atom lookup would
+// and records it in a k×k scratch matrix, from which the joins read.
 func (e *Encoding) emitAxiomsOver(attr relation.Attr, old, newVals []int) {
 	all, isNew := e.axAll[:0], e.axNew[:0]
 	for i, j := 0, 0; i < len(old) || j < len(newVals); {
@@ -1202,64 +1207,46 @@ func (e *Encoding) emitAxiomsOver(attr relation.Attr, old, newVals []int) {
 	if cap(e.axLits) < k*k {
 		e.axLits = make([]sat.Lit, k*k)
 	}
-	e.axLits = e.axLits[:k*k]
-	for c := range e.axLits {
-		e.axLits[c] = noLit
-	}
-
+	lits := e.axLits[:k*k]
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
 			if !isNew[i] && !isNew[j] {
 				continue
 			}
-			x := e.axLit(attr, i, j)
-			y := e.axLit(attr, j, i)
+			x, y := e.litRaw(attr, all[i], all[j]), e.litRaw(attr, all[j], all[i])
+			lits[i*k+j], lits[j*k+i] = x, y
 			e.cnf.Add(x.Not(), y.Not())
 		}
 	}
-	lits := e.axLits
-	for i := 0; i < k; i++ {
-		rowI := lits[i*k : (i+1)*k]
-		for j := 0; j < k; j++ {
-			if i == j {
-				continue
-			}
-			rowJ := lits[j*k : (j+1)*k]
-			oldPair := !isNew[i] && !isNew[j]
-			for l := 0; l < k; l++ {
-				if l == i || l == j || (oldPair && !isNew[l]) {
-					continue
-				}
-				// a_i ≺ a_j ∧ a_j ≺ a_l → a_i ≺ a_l, looked up in this order.
-				x, y, z := rowI[j], rowJ[l], rowI[l]
-				if x == noLit {
-					x = e.axLit(attr, i, j)
-				}
-				if y == noLit {
-					y = e.axLit(attr, j, l)
-				}
-				if z == noLit {
-					z = e.axLit(attr, i, l)
-				}
-				e.cnf.Add(x.Not(), y.Not(), z)
-			}
+	// New values join group attr after its members, each with its pairs
+	// to every earlier member. The members' values are read back from
+	// their pair variables in join order: member 0 is the lower end of pair
+	// (0,1), member m the upper end of pair (0,m); a lone member is the one
+	// old value.
+	gr := &e.cnf.Groups[attr]
+	pos := e.axPos[:0]
+	for m := 0; m < gr.Members; m++ {
+		v := old[0]
+		if m == 0 && gr.Members > 1 {
+			v = e.pairs[gr.Pair(0, 1).Var()].a1
+		} else if m > 0 {
+			v = e.pairs[gr.Pair(0, m).Var()].a2
 		}
+		pos = append(pos, sort.SearchInts(all, v))
 	}
-}
-
-// noLit marks an axiom-matrix cell whose literal has not been looked up yet.
-const noLit = sat.Lit(-1)
-
-// axLit returns the literal for all[i] ≺ all[j] of the current
-// emitAxiomsOver call, allocating its variable through litRaw on first use.
-func (e *Encoding) axLit(attr relation.Attr, i, j int) sat.Lit {
-	c := i*len(e.axAll) + j
-	if l := e.axLits[c]; l != noLit {
-		return l
+	for m := range all {
+		if !isNew[m] {
+			continue
+		}
+		pairs := e.litBuf[:0]
+		for _, i := range pos {
+			pairs = append(pairs, lits[i*k+m], lits[m*k+i])
+		}
+		e.litBuf = pairs
+		e.cnf.Join(int(attr), pairs...)
+		pos = append(pos, m)
 	}
-	l := e.litRaw(attr, e.axAll[i], e.axAll[j])
-	e.axLits[c] = l
-	return l
+	e.axPos = pos
 }
 
 // FormatLit renders an order atom for diagnostics: "a1 <[attr] a2".

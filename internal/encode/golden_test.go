@@ -5,41 +5,93 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"sort"
 	"testing"
 
 	"conflictres/internal/datagen"
 	"conflictres/internal/fixtures"
 	"conflictres/internal/model"
 	"conflictres/internal/relation"
+	"conflictres/internal/sat"
 )
 
-// goldenDigests pins Φ(Se) and Ω(Se) byte for byte: variable count, every
-// clause's literals in order, every instance (body, head, source) and the
-// instance-to-clause index. Any encoder change that is meant to be a pure
-// speed-up must leave these untouched; a change that legitimately alters
-// the formula must say so and re-derive them (the failure message prints
-// the new value).
+// goldenDigests pins Φ(Se) and Ω(Se) byte for byte, transitivity apart:
+// variable count, every clause's literals in order, every instance (body,
+// head, source) and the instance-to-clause index. goldenTriples pins the
+// transitivity clauses the order groups stand for, as a sorted set per
+// encoding state. Any encoder change that is meant to be a pure speed-up
+// must leave both untouched; a change that legitimately alters the formula
+// must say so and re-derive them (the failure message prints the new
+// value).
+//
+// Both were derived from the encoder that still emitted transitivity as
+// clauses, with those clauses filtered out of the first digest and
+// collected into the second, so they also pin that groups carry exactly
+// the triples that encoder emitted.
 var goldenDigests = map[string]string{
-	"paper/build":          "29a19441ed74ff630dc5fd964cd58871955b07643f1404c3bba930fe0ee5b377",
-	"paper/skeleton":       "29a19441ed74ff630dc5fd964cd58871955b07643f1404c3bba930fe0ee5b377",
-	"paper/extend-answers": "e0cf2aa20c252019e87f5d78252ee26894fbee0d25c7a803269f835c348d831d",
-	"person/build":         "7df6840acc7ce1021b63462ca94b59103d92869488937aaa43eec89b89f402f6",
-	"person/skeleton":      "7df6840acc7ce1021b63462ca94b59103d92869488937aaa43eec89b89f402f6",
-	"person/extend":        "492a0fc1955466a7b32024806e6de45b14025d816405987ffad249fdb3fbe1c3",
-	"person/sparse-cap3":   "9843a1dae19528e31c04693cd488adde1d354753c8acafe600b437d481bdb110",
-	"nba/build":            "f5027d6d8a3a60ae6c79feac333079f325e0bf93a6ccd06cccfed707830c73af",
-	"nba/extend":           "492be821381c5d99d37f773f93b354d51d48d34f18194419715debfea635de63",
-	"career/skeleton":      "746bade1c17720be29c9b576c4e8a5c4526616898b515cfcbaab020ee887a100",
+	"paper/build":          "9369394b1070b5f3541f82970273bb5fa118f6f4b138fd4d3fecccae0e48e7cc",
+	"paper/skeleton":       "9369394b1070b5f3541f82970273bb5fa118f6f4b138fd4d3fecccae0e48e7cc",
+	"paper/extend-answers": "d4156ca788d49876daa7a35b0c8949b4b91ec10adef06b79969979c2f9073553",
+	"person/build":         "f8ecc1dc6a26ebd7c436843d2864c84f36771186c2961afb91702feb95ead20a",
+	"person/skeleton":      "f8ecc1dc6a26ebd7c436843d2864c84f36771186c2961afb91702feb95ead20a",
+	"person/extend":        "5ee3d6cc4737cd8234f775cbc0b406f64d52552049b27089f664fd2af59c6a71",
+	"person/sparse-cap3":   "42b1497ed1b5c8aa86f28ced8516704d79e08ddc5d61e5edc096f6d6e76d29bc",
+	"nba/build":            "35c43e84ff9bc70db38df2a56bbcf67107235bb502033df568c557c25184f81b",
+	"nba/extend":           "e3c5f4a6de4036135165bbb35a536a1859682f6d6ced4be7a7673e55253ee387",
+	"career/skeleton":      "7d5835d3e253c33fad7d9e47a22a93f4c01a24bfc4c70b816951589c2a6a68c1",
 }
 
-// formulaDigest folds encodings into one SHA-256. Values are staged in buf
+var goldenTriples = map[string]string{
+	"paper/build":          "f8d562b50cfac4600888a57c3d21481571a05e23ac845efe9065518123c55321",
+	"paper/skeleton":       "f8d562b50cfac4600888a57c3d21481571a05e23ac845efe9065518123c55321",
+	"paper/extend-answers": "4d4f31b4fc8e3dc9fc1c9e723823037b5417304e0838ca0ec80873439de82eec",
+	"person/build":         "2427167de84638d404bedccfa7a8da3ed04cf732a4e15f3b15c0a09da5e20b1b",
+	"person/skeleton":      "2427167de84638d404bedccfa7a8da3ed04cf732a4e15f3b15c0a09da5e20b1b",
+	"person/extend":        "a6340e975b8981bff05244a2eec1a8349698842811cccadd96469a33fc12f38d",
+	"person/sparse-cap3":   "0334b8ed6d02f6273ab55b09bfd18dc287ff426a1f234778b86d46d0e897dc53",
+	"nba/build":            "b95bbda1b3a102bec81619c7ea7ccef963d02737fe85e5a990cbdbef76751a04",
+	"nba/extend":           "f4d9115de3d91d5b1c0b2873356000f31fcc80ecb6c33ed61c8cb447691b8c37",
+	"career/skeleton":      "6ed65ae78a518d422500ed5e0464d56af9fca8662f9145a1478aa682d7733434",
+}
+
+// axiomView splits an encoding's formula into its clauses (with the
+// instance-to-clause index into them) and the sorted transitivity clauses
+// of its order groups.
+func axiomView(e *Encoding) (clauses [][]sat.Lit, instIdx []int, triples [][3]sat.Lit) {
+	cnf := e.CNF()
+	x := cnf.Expand()
+	for _, cl := range x.Clauses[len(cnf.Clauses):] {
+		triples = append(triples, [3]sat.Lit{cl[0], cl[1], cl[2]})
+	}
+	sort.Slice(triples, func(i, j int) bool {
+		a, b := triples[i], triples[j]
+		if a[0] != b[0] {
+			return a[0] < b[0]
+		}
+		if a[1] != b[1] {
+			return a[1] < b[1]
+		}
+		return a[2] < b[2]
+	})
+	return cnf.Clauses, e.InstanceClauseIndex(), triples
+}
+
+// numClauses is the clause count of axiomView, where extension suffixes
+// start.
+func numClauses(e *Encoding) int {
+	cl, _, _ := axiomView(e)
+	return len(cl)
+}
+
+// formulaDigest folds encodings into two SHA-256 sums: the formula without
+// transitivity, and the transitivity triples. Values are staged in a buffer
 // and hashed once per encoding, which keeps the test fast under -race.
 type formulaDigest struct {
-	h   hash.Hash
-	buf []byte
+	h, t hash.Hash
+	buf  []byte
 }
 
-func newFormulaDigest() *formulaDigest { return &formulaDigest{h: sha256.New()} }
+func newFormulaDigest() *formulaDigest { return &formulaDigest{h: sha256.New(), t: sha256.New()} }
 
 // int appends v as 4 bytes: every digested value (counts, literals,
 // domain indices, the -1 source index) fits in 32 bits.
@@ -47,8 +99,8 @@ func (d *formulaDigest) int(v int) {
 	d.buf = binary.LittleEndian.AppendUint32(d.buf, uint32(int32(v)))
 }
 
-func (d *formulaDigest) flush() {
-	d.h.Write(d.buf)
+func (d *formulaDigest) flush(h hash.Hash) {
+	h.Write(d.buf)
 	d.buf = d.buf[:0]
 }
 
@@ -69,21 +121,21 @@ func (d *formulaDigest) bool(b bool) {
 func (d *formulaDigest) encoding(e *Encoding) { d.suffix(e, 0, 0) }
 
 // suffix digests the clauses from index clauseFrom and the instances from
-// index omegaFrom on, plus the variable and total counts. Extension only
+// index omegaFrom on, plus the variable and total counts, into the formula
+// sum, and the whole current triple set into the triple sum. Extension only
 // appends, so digesting each step's suffix pins the whole formula.
 func (d *formulaDigest) suffix(e *Encoding, clauseFrom, omegaFrom int) {
-	cnf := e.CNF()
+	clauses, idx, triples := axiomView(e)
 	d.int(e.NumVars())
-	d.int(cnf.NVars)
-	d.int(len(cnf.Clauses))
-	for _, cl := range cnf.Clauses[clauseFrom:] {
+	d.int(e.CNF().NVars)
+	d.int(len(clauses))
+	for _, cl := range clauses[clauseFrom:] {
 		d.int(len(cl))
 		for _, l := range cl {
 			d.int(int(l))
 		}
 	}
 	d.int(len(e.Omega))
-	idx := e.InstanceClauseIndex()
 	for i, inst := range e.Omega[omegaFrom:] {
 		d.int(len(inst.Body))
 		for _, l := range inst.Body {
@@ -95,12 +147,19 @@ func (d *formulaDigest) suffix(e *Encoding, clauseFrom, omegaFrom int) {
 		d.int(idx[omegaFrom+i])
 	}
 	d.bool(e.Sparse)
-	d.flush()
+	d.flush(d.h)
+	d.int(len(triples))
+	for _, tr := range triples {
+		for _, l := range tr {
+			d.int(int(l))
+		}
+	}
+	d.flush(d.t)
 }
 
-func (d *formulaDigest) sum() string {
-	d.flush()
-	return hex.EncodeToString(d.h.Sum(nil))
+func (d *formulaDigest) sum() (formula, triples string) {
+	d.flush(d.h)
+	return hex.EncodeToString(d.h.Sum(nil)), hex.EncodeToString(d.t.Sum(nil))
 }
 
 // goldenPerson is the fleet benchmark's Person shape (ACPool 24, 6×8 status
@@ -162,11 +221,11 @@ func digestExtend(d *formulaDigest, entities []*datagen.Entity) (appended int) {
 			return ok
 		}
 		mid := len(rows) / 2
-		c, o := len(enc.CNF().Clauses), len(enc.Omega)
+		c, o := numClauses(enc), len(enc.Omega)
 		if !step(enc.ExtendRows(rows[:mid], nil), c, o) {
 			continue
 		}
-		c, o = len(enc.CNF().Clauses), len(enc.Omega)
+		c, o = numClauses(enc), len(enc.Omega)
 		if !step(enc.ExtendRows(rows[mid:], edges), c, o) {
 			continue
 		}
@@ -177,7 +236,7 @@ func digestExtend(d *formulaDigest, entities []*datagen.Entity) (appended int) {
 				break
 			}
 			answered++
-			c, o = len(enc.CNF().Clauses), len(enc.Omega)
+			c, o = numClauses(enc), len(enc.Omega)
 			if !step(enc.ExtendAnswers(map[relation.Attr]relation.Value{a: ent.Truth[a]}), c, o) {
 				break
 			}
@@ -196,11 +255,11 @@ func TestGoldenFormulaDigest(t *testing.T) {
 	career := datagen.Career(datagen.CareerConfig{Persons: 8, MaxPapers: 35, Seed: 7})
 	paper := []*model.Spec{fixtures.EdithSpec(), fixtures.GeorgeSpec()}
 
-	got := map[string]string{}
+	got, gotTriples := map[string]string{}, map[string]string{}
 	run := func(name string, f func(d *formulaDigest)) {
 		d := newFormulaDigest()
 		f(d)
-		got[name] = d.sum()
+		got[name], gotTriples[name] = d.sum()
 	}
 	buildAll := func(specs []*model.Spec, opts Options) func(*formulaDigest) {
 		return func(d *formulaDigest) {
@@ -263,6 +322,11 @@ func TestGoldenFormulaDigest(t *testing.T) {
 	for name, want := range goldenDigests {
 		if got[name] != want {
 			t.Errorf("%s: formula digest %s, want %s", name, got[name], want)
+		}
+	}
+	for name, want := range goldenTriples {
+		if gotTriples[name] != want {
+			t.Errorf("%s: transitivity digest %s, want %s", name, gotTriples[name], want)
 		}
 	}
 }

@@ -201,7 +201,12 @@ func (c *checker) solveGreedy() []int {
 // maximizing the number of satisfied clauses. It returns the best assignment
 // found and its satisfied-clause count. It never fails; with maxFlips
 // exhausted it returns the best seen. Deterministic for a fixed seed.
+// Order groups count as their transitivity clauses, appended after the
+// clauses (sat.CNF.Expand).
 func MaxSatisfiable(c *sat.CNF, maxFlips int, noise float64, seed int64) ([]bool, int) {
+	if len(c.Groups) > 0 {
+		c = c.Expand()
+	}
 	rng := rand.New(rand.NewSource(seed))
 	n := c.NVars
 	assign := make([]bool, n)

@@ -21,9 +21,14 @@ const cnfBlockLits = 1 << 14
 // formulas over its lifetime without reallocating. Clauses remain exposed as
 // an ordinary [][]Lit — the sub-slices alias the arena and must not be
 // mutated or retained across Reset.
+//
+// Next to the clauses a CNF carries order groups (see Group), append-only
+// like Clauses: each stands for the transitivity clauses over its members
+// without storing them.
 type CNF struct {
 	NVars   int
 	Clauses [][]Lit
+	Groups  []Group
 
 	blocks [][]Lit // literal arena; blocks[cur] is being filled
 	cur    int
@@ -32,12 +37,13 @@ type CNF struct {
 // NewCNF creates an empty formula over n variables.
 func NewCNF(n int) *CNF { return &CNF{NVars: n} }
 
-// Reset empties the formula (NVars 0, no clauses) while keeping the clause
-// index and literal arena allocated for reuse. Slices previously obtained
-// from Clauses are invalidated.
+// Reset empties the formula (NVars 0, no clauses, no groups) while keeping
+// the clause index, literal arena and group storage allocated for reuse.
+// Slices previously obtained from Clauses or Groups are invalidated.
 func (c *CNF) Reset() {
 	c.NVars = 0
 	c.Clauses = c.Clauses[:0]
+	c.Groups = c.Groups[:0]
 	for i := range c.blocks {
 		c.blocks[i] = c.blocks[i][:0]
 	}
@@ -86,11 +92,18 @@ func (c *CNF) Clone() *CNF {
 	}
 	cp.blocks = [][]Lit{flat}
 	cp.cur = 0
+	if len(c.Groups) > 0 {
+		cp.Groups = make([]Group, len(c.Groups))
+		for i, g := range c.Groups {
+			cp.Groups[i] = Group{Members: g.Members, Lits: append([]Lit(nil), g.Lits...)}
+		}
+	}
 	return cp
 }
 
-// LoadInto feeds all clauses to a solver, allocating variables as needed.
-// It returns false if the solver became unsatisfiable while loading.
+// LoadInto feeds all clauses and groups to a solver, allocating variables
+// as needed. It returns false if the solver became unsatisfiable while
+// loading.
 func (c *CNF) LoadInto(s *Solver) bool {
 	for s.NumVars() < c.NVars {
 		s.NewVar()
@@ -101,14 +114,16 @@ func (c *CNF) LoadInto(s *Solver) bool {
 			ok = false
 		}
 	}
-	return ok
+	return c.installGroups(s) && ok
 }
 
 // AppendInto feeds only Clauses[from:] to a solver that already holds the
 // earlier prefix, allocating variables as needed. It is the delta-loading
 // half of incremental sessions: after the formula grows (Se ⊕ Ot), only the
 // new clauses are attached, preserving the solver's learned-clause state.
-// It returns false if the solver is (or became) unsatisfiable.
+// Groups need no index: the solver counts the members it holds, and the
+// unseen ones join. It returns false if the solver is (or became)
+// unsatisfiable.
 func (c *CNF) AppendInto(s *Solver, from int) bool {
 	for s.NumVars() < c.NVars {
 		s.NewVar()
@@ -122,7 +137,7 @@ func (c *CNF) AppendInto(s *Solver, from int) bool {
 			ok = false
 		}
 	}
-	return ok
+	return c.installGroups(s) && ok
 }
 
 // Solver builds a fresh solver loaded with the formula.
@@ -142,12 +157,13 @@ func (c *CNF) NumLiterals() int {
 }
 
 // Eval reports whether the assignment (indexed by variable) satisfies every
-// clause.
+// clause and every group's transitivity clauses.
 func (c *CNF) Eval(assign []bool) bool {
+	holds := func(l Lit) bool { return assign[l.Var()] != l.Neg() }
 	for _, cl := range c.Clauses {
 		sat := false
 		for _, l := range cl {
-			if assign[l.Var()] != l.Neg() {
+			if holds(l) {
 				sat = true
 				break
 			}
@@ -156,14 +172,16 @@ func (c *CNF) Eval(assign []bool) bool {
 			return false
 		}
 	}
-	return true
+	return c.eachTriple(func(a, b, d Lit) bool { return holds(a) || holds(b) || holds(d) })
 }
 
-// String renders the formula in a compact DIMACS-like form; for debugging.
+// String renders the formula in a compact DIMACS-like form, groups
+// expanded; for debugging.
 func (c *CNF) String() string {
+	x := c.Expand()
 	var b strings.Builder
-	fmt.Fprintf(&b, "p cnf %d %d\n", c.NVars, len(c.Clauses))
-	for _, cl := range c.Clauses {
+	fmt.Fprintf(&b, "p cnf %d %d\n", x.NVars, len(x.Clauses))
+	for _, cl := range x.Clauses {
 		for i, l := range cl {
 			if i > 0 {
 				b.WriteByte(' ')

@@ -10,11 +10,12 @@ import (
 
 // WriteDIMACS serializes the formula in the standard DIMACS CNF format:
 // variables are 1-based, negative numbers are negated literals, clauses end
-// with 0.
+// with 0. DIMACS has no groups, so each group is written as its
+// transitivity clauses after the clauses.
 func (c *CNF) WriteDIMACS(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "p cnf %d %d\n", c.NVars, len(c.Clauses))
-	for _, cl := range c.Clauses {
+	fmt.Fprintf(bw, "p cnf %d %d\n", c.NVars, len(c.Clauses)+c.NumTriples())
+	write := func(cl ...Lit) bool {
 		for _, l := range cl {
 			v := int(l.Var()) + 1
 			if l.Neg() {
@@ -23,7 +24,12 @@ func (c *CNF) WriteDIMACS(w io.Writer) error {
 			fmt.Fprintf(bw, "%d ", v)
 		}
 		fmt.Fprintln(bw, "0")
+		return true
 	}
+	for _, cl := range c.Clauses {
+		write(cl...)
+	}
+	c.eachTriple(func(a, b, d Lit) bool { return write(a, b, d) })
 	return bw.Flush()
 }
 

@@ -62,6 +62,18 @@ type Solver struct {
 	// fixpoint of the problem clauses (see Fixpoint). Reset clears it.
 	rootLearnt bool
 
+	// Order groups (group.go): each pair variable's occurrences, linked
+	// from occHead; triples counts the transitivity clauses they stand for.
+	// Group consequences above level 0 borrow reason slots, which
+	// cancelUntil hands back to freeSlots.
+	groups    []group
+	gmat      []Lit
+	occs      []groupOcc
+	occHead   []int32
+	triples   int
+	usedSlots []reasonSlot
+	freeSlots []clauseRef
+
 	// Stats counts solver work; useful for benchmarks and tuning. The
 	// counters are cumulative across Reset — they describe the solver's
 	// whole lifetime, so pooled reuse never loses work accounting. Callers
@@ -113,6 +125,13 @@ func (s *Solver) Reset() {
 	s.reason = s.reason[:0]
 	s.level = s.level[:0]
 	s.seen = s.seen[:0]
+	s.occHead = s.occHead[:0]
+	s.groups = s.groups[:0]
+	s.gmat = s.gmat[:0]
+	s.occs = s.occs[:0]
+	s.triples = 0
+	s.usedSlots = s.usedSlots[:0]
+	s.freeSlots = s.freeSlots[:0]
 	s.watches = s.watches[:0]
 	s.trail = s.trail[:0]
 	s.trailLim = s.trailLim[:0]
@@ -134,6 +153,7 @@ func (s *Solver) NewVar() Var {
 	s.reason = append(s.reason, noClause)
 	s.level = append(s.level, 0)
 	s.seen = append(s.seen, false)
+	s.occHead = append(s.occHead, -1)
 	// Watch lists retained across Reset keep their capacity: grow by
 	// reslicing (which preserves the stored inner slices) and truncate the
 	// reused entries, instead of appending nil over them.
@@ -284,8 +304,8 @@ func (s *Solver) uncheckedEnqueue(l Lit, from clauseRef) {
 	}
 }
 
-// propagate performs unit propagation; it returns the conflicting clause or
-// noClause.
+// propagate performs unit propagation over the clauses and the order groups;
+// it returns the conflicting clause or noClause.
 func (s *Solver) propagate() clauseRef {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is now true
@@ -332,6 +352,10 @@ func (s *Solver) propagate() clauseRef {
 			s.uncheckedEnqueue(c.lits[0], cr)
 		}
 		s.watches[falseLit] = kept
+		if cr := s.propagateGroups(p); cr != noClause {
+			s.qhead = len(s.trail)
+			return cr
+		}
 	}
 	return noClause
 }
@@ -440,6 +464,7 @@ func (s *Solver) cancelUntil(lvl int) {
 	if s.decisionLevel() <= lvl {
 		return
 	}
+	s.releaseSlots(s.trailLim[lvl])
 	for i := len(s.trail) - 1; i >= s.trailLim[lvl]; i-- {
 		l := s.trail[i]
 		v := l.Var()
@@ -549,7 +574,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 	var restart int64 = 1
 	var totalConflicts int64
-	maxLearnts := int64(len(s.clauses))/3 + 100
+	maxLearnts := int64(len(s.clauses)+s.triples)/3 + 100
 
 	for {
 		budget := 100 * luby(restart)
