@@ -99,10 +99,50 @@ func (o Options) cap() int {
 	return o.TransitivityCap
 }
 
+// pairKey is the atom a variable stands for.
 type pairKey struct {
 	attr relation.Attr
 	a1   int
 	a2   int
+}
+
+// valSet is a set of one attribute's domain indices, kept by position:
+// adding is a store and listing the members is an in-order scan.
+type valSet struct {
+	has []bool
+	n   int
+}
+
+func (s *valSet) add(i int) {
+	if i >= len(s.has) {
+		s.has = append(s.has, make([]bool, i+1-len(s.has))...)
+	}
+	if !s.has[i] {
+		s.has[i] = true
+		s.n++
+	}
+}
+
+func (s *valSet) contains(i int) bool { return i < len(s.has) && s.has[i] }
+
+// resetSets returns n empty sets, reusing the storage of sets.
+func resetSets(sets []valSet, n int) []valSet {
+	sets = slices.Grow(sets[:0], n)[:n]
+	for i := range sets {
+		clear(sets[i].has)
+		sets[i] = valSet{has: sets[i].has[:0]}
+	}
+	return sets
+}
+
+// appendTo appends the members to out in ascending order.
+func (s *valSet) appendTo(out []int) []int {
+	for i, in := range s.has {
+		if in {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // valKey canonicalizes a value for domain dedup without building strings:
@@ -165,15 +205,21 @@ type Encoding struct {
 	adomExtra []map[int]bool
 	adomIdx   [][]int
 
-	varOf  map[pairKey]sat.Var
-	pairs  []pairKey // var -> pair
-	cnf    *sat.CNF
-	Omega  []Instance // facts + currency instances + CFD instances (no axioms)
-	Sparse bool       // true if any attribute used the sparse transitivity path
+	// pairVar[a][a1][a2] holds v+1 for the variable v of the atom
+	// a1 ≺v_a a2, 0 if it has none. A row is allocated from rowSlab on
+	// first use at the attribute's domain size and grows with the domain;
+	// resetStorage zeroes only the cells pairs lists, so rows outlive
+	// builds on a skeleton.
+	pairVar [][][]sat.Var
+	rowSlab []sat.Var
+	pairs   []pairKey // var -> pair
+	cnf     *sat.CNF
+	Omega   []Instance // facts + currency instances + CFD instances (no axioms)
+	Sparse  bool       // true if any attribute used the sparse transitivity path
 
 	opts      Options
 	instIdx   []int             // per Omega instance: its clause index in cnf
-	active    []map[int]bool    // per attribute: values covered by full axioms
+	active    []valSet          // per attribute: values covered by full axioms
 	edgesDone int               // explicit order edges already encoded
 	seenOrder map[OrderLit]bool // order-fact dedup (facts have no body)
 	// Instance dedup, binary keys, per source kind. The maps persist across
@@ -203,7 +249,8 @@ type Encoding struct {
 	bodyBuf   []OrderLit
 	cfdBuf    []OrderLit
 	litBuf    []sat.Lit
-	intBuf    []int
+	idxBuf    []int // valSet listings
+	idxBuf2   []int // valSet listings
 	projIdx   map[string]int
 	projReps  []int
 	projCnt   []int
@@ -212,7 +259,10 @@ type Encoding struct {
 	axLits    []sat.Lit // emitAxiomsOver: k×k pair-literal matrix
 	axPos     []int     // emitAxiomsOver: group members' positions
 	factEdges []map[[2]int]bool
-	condVals  []map[int]bool
+	condVals  []valSet // per attribute: values of conditional clauses
+	setBuf    []bool   // backs active and condVals at Build
+	joinSets  []valSet // extendTuples: values joining the active domain
+	newSets   []valSet // extendTuples: values joining the axioms
 }
 
 // seenKeyCap bounds the persistent instance-dedup maps: past it, the next
@@ -260,6 +310,9 @@ func (e *Encoding) init(spec *model.Spec, refAttrs [][]relation.Attr) {
 func (e *Encoding) resetStorage(n int) {
 	e.Sparse = false
 	e.edgesDone = 0
+	for _, p := range e.pairs {
+		e.pairVar[p.attr][p.a1][p.a2] = 0
+	}
 	e.pairs = e.pairs[:0]
 	e.Omega = e.Omega[:0]
 	e.instIdx = e.instIdx[:0]
@@ -271,11 +324,6 @@ func (e *Encoding) resetStorage(n int) {
 		e.cnf = sat.NewCNF(0)
 	} else {
 		e.cnf.Reset()
-	}
-	if e.varOf == nil {
-		e.varOf = make(map[pairKey]sat.Var)
-	} else {
-		clear(e.varOf)
 	}
 	if e.seenOrder == nil {
 		e.seenOrder = make(map[OrderLit]bool)
@@ -302,15 +350,17 @@ func (e *Encoding) resetStorage(n int) {
 		e.domIdx = make([]map[valKey]int, n)
 		e.adomExtra = make([]map[int]bool, n)
 		e.adomIdx = make([][]int, n)
-		e.active = make([]map[int]bool, n)
+		e.pairVar = make([][][]sat.Var, n)
+		e.active = make([]valSet, n)
 		e.factEdges = make([]map[[2]int]bool, n)
-		e.condVals = make([]map[int]bool, n)
+		e.condVals = make([]valSet, n)
 	} else {
 		e.doms = e.doms[:n]
 		e.adomSz = e.adomSz[:n]
 		e.domIdx = e.domIdx[:n]
 		e.adomExtra = e.adomExtra[:n]
 		e.adomIdx = e.adomIdx[:n]
+		e.pairVar = e.pairVar[:n]
 		e.active = e.active[:n]
 		e.factEdges = e.factEdges[:n]
 		e.condVals = e.condVals[:n]
@@ -329,20 +379,10 @@ func (e *Encoding) resetStorage(n int) {
 		} else {
 			clear(e.adomExtra[a])
 		}
-		if e.active[a] == nil {
-			e.active[a] = make(map[int]bool)
-		} else {
-			clear(e.active[a])
-		}
 		if e.factEdges[a] == nil {
 			e.factEdges[a] = make(map[[2]int]bool)
 		} else {
 			clear(e.factEdges[a])
-		}
-		if e.condVals[a] == nil {
-			e.condVals[a] = make(map[int]bool)
-		} else {
-			clear(e.condVals[a])
 		}
 	}
 }
@@ -410,12 +450,27 @@ func (e *Encoding) Pair(v sat.Var) OrderLit {
 }
 
 // LitFor returns the positive literal for the atom, if it was allocated.
+// An atom outside the schema or the domains was not.
 func (e *Encoding) LitFor(l OrderLit) (sat.Lit, bool) {
-	v, ok := e.varOf[pairKey{l.Attr, l.A1, l.A2}]
+	v, ok := e.varOf(l.Attr, l.A1, l.A2)
 	if !ok {
 		return 0, false
 	}
 	return sat.PosLit(v), true
+}
+
+// varOf looks the atom a1 ≺v_attr a2 up in its row; an atom outside the
+// rows has no variable.
+func (e *Encoding) varOf(attr relation.Attr, a1, a2 int) (sat.Var, bool) {
+	if uint(attr) >= uint(len(e.pairVar)) {
+		return 0, false
+	}
+	if rows := e.pairVar[attr]; uint(a1) < uint(len(rows)) && uint(a2) < uint(len(rows[a1])) {
+		if v := rows[a1][a2]; v != 0 {
+			return v - 1, true
+		}
+	}
+	return 0, false
 }
 
 // EnsureLit returns the positive literal for the atom, allocating the
@@ -423,38 +478,57 @@ func (e *Encoding) LitFor(l OrderLit) (sat.Lit, bool) {
 // if needed. Appending to the CNF after Build is sound: new clauses only
 // constrain new variables.
 func (e *Encoding) EnsureLit(l OrderLit) sat.Lit {
-	k := pairKey{l.Attr, l.A1, l.A2}
-	if v, ok := e.varOf[k]; ok {
+	if v, ok := e.varOf(l.Attr, l.A1, l.A2); ok {
 		return sat.PosLit(v)
 	}
-	rk := pairKey{l.Attr, l.A2, l.A1}
-	v := e.newVar(k)
-	if rv, ok := e.varOf[rk]; ok {
-		e.cnf.Add(sat.NegLit(v), sat.NegLit(rv))
-	} else {
-		rv = e.newVar(rk)
-		e.cnf.Add(sat.NegLit(v), sat.NegLit(rv))
+	v := e.newVar(l.Attr, l.A1, l.A2)
+	rv, ok := e.varOf(l.Attr, l.A2, l.A1)
+	if !ok {
+		rv = e.newVar(l.Attr, l.A2, l.A1)
 	}
+	e.cnf.Add(sat.NegLit(v), sat.NegLit(rv))
 	return sat.PosLit(v)
 }
 
-func (e *Encoding) newVar(k pairKey) sat.Var {
+func (e *Encoding) newVar(attr relation.Attr, a1, a2 int) sat.Var {
 	v := sat.Var(len(e.pairs))
-	e.varOf[k] = v
-	e.pairs = append(e.pairs, k)
+	e.pairRow(attr, a1, a2)[a2] = v + 1
+	e.pairs = append(e.pairs, pairKey{attr, a1, a2})
 	if e.cnf.NVars < len(e.pairs) {
 		e.cnf.NVars = len(e.pairs)
 	}
 	return v
 }
 
+// pairRow returns a1's row of attr, long enough to hold a2. A row that
+// must grow at least doubles, so rows left behind in the slab by a
+// domain that keeps growing stay within the size of the live ones.
+func (e *Encoding) pairRow(attr relation.Attr, a1, a2 int) []sat.Var {
+	dom := len(e.doms[attr])
+	rows := e.pairVar[attr]
+	if a1 >= len(rows) {
+		rows = append(rows, make([][]sat.Var, max(dom, a1+1)-len(rows))...)
+		e.pairVar[attr] = rows
+	}
+	if a2 >= len(rows[a1]) {
+		n := max(dom, a2+1, 2*len(rows[a1]))
+		if cap(e.rowSlab)-len(e.rowSlab) < n {
+			e.rowSlab = make([]sat.Var, 0, max(n, 2*cap(e.rowSlab), 1024))
+		}
+		r := e.rowSlab[len(e.rowSlab) : len(e.rowSlab)+n : len(e.rowSlab)+n]
+		e.rowSlab = e.rowSlab[:len(e.rowSlab)+n]
+		copy(r, rows[a1])
+		rows[a1] = r
+	}
+	return rows[a1]
+}
+
 // litRaw allocates without asymmetry bookkeeping; used during Build, which
 // emits asymmetry axioms in one sweep afterwards.
 func (e *Encoding) litRaw(attr relation.Attr, a1, a2 int) sat.Lit {
-	k := pairKey{attr, a1, a2}
-	v, ok := e.varOf[k]
+	v, ok := e.varOf(attr, a1, a2)
 	if !ok {
-		v = e.newVar(k)
+		v = e.newVar(attr, a1, a2)
 	}
 	return sat.PosLit(v)
 }
@@ -819,12 +893,31 @@ func (e *Encoding) emitAxioms(transCap int) {
 	for a := 0; a < n; a++ {
 		e.cnf.NewGroup()
 	}
+	// Both sets of every attribute are carved from one buffer, sized to
+	// the domains.
+	total := 0
+	for a := 0; a < n; a++ {
+		total += len(e.doms[a])
+	}
+	if cap(e.setBuf) < 2*total {
+		e.setBuf = make([]bool, 2*total)
+	} else {
+		e.setBuf = e.setBuf[:2*total]
+		clear(e.setBuf)
+	}
+	buf := e.setBuf
+	for a := 0; a < n; a++ {
+		d := len(e.doms[a])
+		e.active[a] = valSet{has: buf[:d:d]}
+		e.condVals[a] = valSet{has: buf[d : 2*d : 2*d]}
+		buf = buf[2*d:]
+	}
 	mark := func(l OrderLit, unit bool) {
-		e.active[l.Attr][l.A1] = true
-		e.active[l.Attr][l.A2] = true
+		e.active[l.Attr].add(l.A1)
+		e.active[l.Attr].add(l.A2)
 		if !unit {
-			e.condVals[l.Attr][l.A1] = true
-			e.condVals[l.Attr][l.A2] = true
+			e.condVals[l.Attr].add(l.A1)
+			e.condVals[l.Attr].add(l.A2)
 		}
 	}
 	for _, inst := range e.Omega {
@@ -840,35 +933,15 @@ func (e *Encoding) emitAxioms(transCap int) {
 
 	for a := 0; a < n; a++ {
 		attr := relation.Attr(a)
-		vals := e.sortedKeysScratch(e.active[a])
-		if len(vals) <= transCap {
-			e.emitFullAxioms(attr, vals)
+		e.idxBuf = e.active[a].appendTo(e.idxBuf[:0])
+		if len(e.idxBuf) <= transCap {
+			e.emitFullAxioms(attr, e.idxBuf)
 			continue
 		}
 		e.Sparse = true
-		e.emitSparseAxioms(attr, vals, e.factEdges[a], sortedKeys(e.condVals[a]), transCap)
+		e.idxBuf2 = e.condVals[a].appendTo(e.idxBuf2[:0])
+		e.emitSparseAxioms(attr, e.idxBuf, e.factEdges[a], e.idxBuf2, transCap)
 	}
-}
-
-// sortedKeysScratch is sortedKeys into the encoding's reused int buffer;
-// the result is valid until the next call.
-func (e *Encoding) sortedKeysScratch(m map[int]bool) []int {
-	out := e.intBuf[:0]
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	e.intBuf = out
-	return out
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // emitFullAxioms adds pairwise asymmetry over the given value indices and
@@ -1061,7 +1134,7 @@ func (e *Encoding) extendTuples(k int) bool {
 
 	// Mutation phase: register each appended tuple's values in the domains
 	// and give it a domain-index row.
-	newJoin := make([]map[int]bool, n)
+	e.joinSets = resetSets(e.joinSets, n)
 	for t := first; t < nT; t++ {
 		to := in.Tuple(relation.TupleID(t))
 		rowStart := len(e.tixData)
@@ -1071,10 +1144,7 @@ func (e *Encoding) extendTuples(k int) bool {
 			e.tixData = append(e.tixData, int32(idx))
 			if !e.InADom(attr, idx) {
 				e.joinADom(attr, idx)
-				if newJoin[a] == nil {
-					newJoin[a] = make(map[int]bool)
-				}
-				newJoin[a][idx] = true
+				e.joinSets[a].add(idx)
 			}
 		}
 		e.tix = append(e.tix, e.tixData[rowStart:len(e.tixData):len(e.tixData)])
@@ -1089,7 +1159,7 @@ func (e *Encoding) extendTuples(k int) bool {
 		if !ok || !e.InADom(attr, ni) {
 			continue
 		}
-		if newJoin[a][ni] {
+		if e.joinSets[a].contains(ni) {
 			// Null itself joined: it ranks below every other domain value.
 			// Covering the full domain — not just adom, as Build does — also
 			// discharges the null ≺ pattern conjunct that a re-encode would
@@ -1101,7 +1171,8 @@ func (e *Encoding) extendTuples(k int) bool {
 				}
 			}
 		} else {
-			for _, i := range e.sortedKeysScratch(newJoin[a]) {
+			e.idxBuf = e.joinSets[a].appendTo(e.idxBuf[:0])
+			for _, i := range e.idxBuf {
 				if i != ni {
 					e.addInstance(nil, OrderLit{attr, ni, i}, Source{SrcOrder, -1})
 				}
@@ -1130,12 +1201,13 @@ func (e *Encoding) extendTuples(k int) bool {
 	// the current active domains; the pre-check guarantees they only grew by
 	// pattern-equal values, so existing instances' bodies are unaffected.
 	for gi, cfd := range e.Spec.Gamma {
-		if len(newJoin[cfd.B]) == 0 {
+		if e.joinSets[cfd.B].n == 0 {
 			continue
 		}
 		bi, _ := e.ValueIndex(cfd.B, cfd.VB)
 		omegaX := e.cfdBody(cfd)
-		for _, i := range e.sortedKeysScratch(newJoin[cfd.B]) {
+		e.idxBuf = e.joinSets[cfd.B].appendTo(e.idxBuf[:0])
+		for _, i := range e.idxBuf {
 			if i == bi {
 				continue
 			}
@@ -1144,16 +1216,14 @@ func (e *Encoding) extendTuples(k int) bool {
 	}
 
 	// Values first mentioned by the delta instances need axiom coverage.
-	newActive := make([]map[int]bool, n)
-	for a := range newActive {
-		newActive[a] = make(map[int]bool)
-	}
+	newActive := resetSets(e.newSets, n)
+	e.newSets = newActive
 	markNew := func(l OrderLit) {
-		if !e.active[l.Attr][l.A1] {
-			newActive[l.Attr][l.A1] = true
+		if !e.active[l.Attr].contains(l.A1) {
+			newActive[l.Attr].add(l.A1)
 		}
-		if !e.active[l.Attr][l.A2] {
-			newActive[l.Attr][l.A2] = true
+		if !e.active[l.Attr].contains(l.A2) {
+			newActive[l.Attr].add(l.A2)
 		}
 	}
 	for _, inst := range e.Omega[omegaMark:] {
@@ -1164,17 +1234,19 @@ func (e *Encoding) extendTuples(k int) bool {
 	}
 	transCap := e.opts.cap()
 	for a := 0; a < n; a++ {
-		if len(newActive[a]) > 0 && len(e.active[a])+len(newActive[a]) > transCap {
+		if newActive[a].n > 0 && e.active[a].n+newActive[a].n > transCap {
 			return false // would cross into the sparse regime: rebuild
 		}
 	}
 	for a := 0; a < n; a++ {
-		if len(newActive[a]) == 0 {
+		if newActive[a].n == 0 {
 			continue
 		}
-		e.emitAxiomsOver(relation.Attr(a), sortedKeys(e.active[a]), sortedKeys(newActive[a]))
-		for i := range newActive[a] {
-			e.active[a][i] = true
+		e.idxBuf = e.active[a].appendTo(e.idxBuf[:0])
+		e.idxBuf2 = newActive[a].appendTo(e.idxBuf2[:0])
+		e.emitAxiomsOver(relation.Attr(a), e.idxBuf, e.idxBuf2)
+		for _, i := range e.idxBuf2 {
+			e.active[a].add(i)
 		}
 	}
 	return true

@@ -281,6 +281,12 @@ func TestQuickEncodingInvariants(t *testing.T) {
 				return false
 			}
 		}
+		// Atoms outside the schema or the domains have no variable.
+		for _, l := range []OrderLit{{0, -1, -2}, {1, 0, len(enc.Dom(1)) + 3}, {0, len(enc.Dom(0)), 0}, {2, 0, 1}} {
+			if _, ok := enc.LitFor(l); ok {
+				return false
+			}
+		}
 		for _, inst := range enc.Omega {
 			for _, l := range append(append([]OrderLit{}, inst.Body...), inst.Head) {
 				if l.A1 == l.A2 || l.A1 >= len(enc.Dom(l.Attr)) || l.A2 >= len(enc.Dom(l.Attr)) {

@@ -1,6 +1,9 @@
 package sat
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Group is an order group: a set of members and, for every ordered pair
 // (i, j) of distinct members, a pair literal x_ij. The group stands for the
@@ -117,23 +120,26 @@ func (c *CNF) installGroups(s *Solver) bool {
 	for len(s.groups) < len(c.Groups) {
 		s.groups = append(s.groups, group{})
 	}
-	// Size the matrix arena and the occurrence list once for every join.
-	cells, occs := 0, 0
+	// Size the matrix and bit-plane arenas and the occurrence list once for
+	// every join.
+	cells, words, occs := 0, 0, 0
 	for g := range c.Groups {
 		n, sg := c.Groups[g].Members, &s.groups[g]
 		if n > sg.stride {
 			st := sg.newStride(n)
 			cells += st * st
+			words += st * 4 * rowWords(st)
 		}
 		occs += n*(n-1) - sg.k*(sg.k-1)
 	}
 	s.gmat = slices.Grow(s.gmat, cells)
+	s.gbits = slices.Grow(s.gbits, words)
 	s.occs = slices.Grow(s.occs, occs)
 	ok := true
 	for g := range c.Groups {
 		gr, sg := &c.Groups[g], &s.groups[g]
 		if gr.Members > sg.stride {
-			s.growGroup(sg, gr.Members)
+			s.growGroup(g, gr.Members)
 		}
 		for m := sg.k; m < gr.Members; m++ {
 			if !s.joinGroup(g, gr.Lits[m*(m-1):m*(m+1)]) {
@@ -147,14 +153,37 @@ func (c *CNF) installGroups(s *Solver) bool {
 // group is the solver's copy of an order group: lit(i,j) sits at
 // gmat[off+i*stride+j] of the solver's group-matrix arena, so propagation
 // reads rows and columns directly.
+//
+// Next to the matrix, four bit planes record which pair literals are
+// assigned: member i's rows, words uint64s each and stride bits wide, sit
+// at gbits[bits+4*words*i:] as
+//
+//	T_out: bit l set iff lit(i,l) is true
+//	F_out: bit l set iff lit(i,l) is false
+//	T_in:  bit l set iff lit(l,i) is true
+//	F_in:  bit l set iff lit(l,i) is false
+//
+// A bit records the value of the group's literal, not its variable's sign.
+// Bits are set when a literal is enqueued and cleared when it is undone, so
+// at every point they agree with the assignment propagatePair reads.
 type group struct {
 	k, stride, off int
+	bits, words    int
 }
 
-// groupOcc records that a variable is the pair (i, j) of group g; next
-// links the variable's occurrences (-1 ends the list).
+// rowWords is the number of uint64 words a row of stride bits needs.
+func rowWords(stride int) int { return (stride + 63) / 64 }
+
+// groupOcc records that a variable is the pair (i, j) of group g, whose
+// literal is its variable's negation if neg; next links the variable's
+// occurrences (-1 ends the list). out and in are the gbits indices of the
+// words holding the pair's T_out bit (row i, bit bj = j%64) and T_in bit
+// (row j, bit bi = i%64); the F planes' words sit w further on.
 type groupOcc struct {
 	g, i, j, next int32
+	out, in, w    int32
+	bj, bi        uint8
+	neg           bool
 }
 
 // reasonSlot is an arena clause lent to a group consequence: the reason of
@@ -186,8 +215,15 @@ func (s *Solver) joinGroup(g int, pairs []Lit) bool {
 	mat := s.gmat[gr.off:]
 	for i := 0; i < m; i++ {
 		mat[i*gr.stride+m], mat[m*gr.stride+i] = pairs[2*i], pairs[2*i+1]
-		s.addOcc(pairs[2*i].Var(), g, i, m)
-		s.addOcc(pairs[2*i+1].Var(), g, m, i)
+		s.addOcc(pairs[2*i], g, i, m)
+		s.addOcc(pairs[2*i+1], g, m, i)
+	}
+	// The new atoms fixed at level 0 enter the planes before the replay
+	// reads them.
+	for _, x := range pairs {
+		if s.value(x) != lUndef {
+			s.markGroups(MkLit(x.Var(), s.assigns[x.Var()] == lFalse), true)
+		}
 	}
 	for i := 0; i < m; i++ {
 		for _, p := range [2]struct{ i, j int }{{i, m}, {m, i}} {
@@ -212,21 +248,69 @@ func (s *Solver) joinGroup(g int, pairs []Lit) bool {
 // the current one.
 func (gr *group) newStride(n int) int { return max(2*gr.stride, n, 8) }
 
-// growGroup moves the group's matrix to a fresh arena region whose stride
-// holds at least n members, at least doubling it. The old region is left
+// growGroup moves group g's matrix and bit planes to fresh arena regions
+// whose stride holds at least n members, at least doubling it, and points
+// the group's occurrences at the new planes. The old regions are left
 // behind until Reset.
-func (s *Solver) growGroup(gr *group, n int) {
+func (s *Solver) growGroup(g, n int) {
+	gr := &s.groups[g]
 	st, off := gr.newStride(n), len(s.gmat)
 	s.gmat = append(s.gmat, make([]Lit, st*st)...)
 	for i := 0; i < gr.k; i++ {
 		copy(s.gmat[off+i*st:off+i*st+gr.k], s.gmat[gr.off+i*gr.stride:])
 	}
-	gr.stride, gr.off = st, off
+	w, bits := rowWords(st), len(s.gbits)
+	s.gbits = append(s.gbits, make([]uint64, st*4*w)...)
+	for i := 0; i < gr.k; i++ {
+		for p := 0; p < 4; p++ {
+			copy(s.gbits[bits+(4*i+p)*w:], s.gbits[gr.bits+(4*i+p)*gr.words:gr.bits+(4*i+p+1)*gr.words])
+		}
+	}
+	gr.stride, gr.off, gr.bits, gr.words = st, off, bits, w
+	if gr.k < 2 {
+		return // no pairs yet, so no occurrences
+	}
+	for o := range s.occs {
+		if oc := &s.occs[o]; int(oc.g) == g {
+			oc.place(gr)
+		}
+	}
 }
 
-func (s *Solver) addOcc(v Var, g, i, j int) {
-	s.occs = append(s.occs, groupOcc{g: int32(g), i: int32(i), j: int32(j), next: s.occHead[v]})
+func (s *Solver) addOcc(x Lit, g, i, j int) {
+	v := x.Var()
+	oc := groupOcc{g: int32(g), i: int32(i), j: int32(j), next: s.occHead[v], neg: x.Neg()}
+	oc.place(&s.groups[g])
+	s.occs = append(s.occs, oc)
 	s.occHead[v] = int32(len(s.occs) - 1)
+}
+
+// place computes the occurrence's plane words in its group's layout.
+func (oc *groupOcc) place(gr *group) {
+	i, j, w := int(oc.i), int(oc.j), gr.words
+	oc.out = int32(gr.bits + 4*w*i + j/64)
+	oc.in = int32(gr.bits + 4*w*j + 2*w + i/64)
+	oc.w = int32(w)
+	oc.bj, oc.bi = uint8(j%64), uint8(i%64)
+}
+
+// markGroups sets (or, if !set, clears) the plane bits of every group pair
+// whose variable the trail literal p assigns.
+func (s *Solver) markGroups(p Lit, set bool) {
+	for o := s.occHead[p.Var()]; o >= 0; o = s.occs[o].next {
+		oc := &s.occs[o]
+		out, in := oc.out, oc.in
+		if p.Neg() != oc.neg { // the group's literal is false
+			out, in = out+oc.w, in+oc.w
+		}
+		if set {
+			s.gbits[out] |= 1 << oc.bj
+			s.gbits[in] |= 1 << oc.bi
+		} else {
+			s.gbits[out] &^= 1 << oc.bj
+			s.gbits[in] &^= 1 << oc.bi
+		}
+	}
 }
 
 // propagateGroups runs the group rules for the trail literal p; it returns
@@ -245,37 +329,50 @@ func (s *Solver) propagateGroups(p Lit) clauseRef {
 // fixed, the unit-propagation rules of every transitivity clause the pair
 // occurs in. With x_ij true those are (¬x_ij ∨ ¬x_jl ∨ x_il) and
 // (¬x_li ∨ ¬x_ij ∨ x_lj); with x_ij false, (¬x_il ∨ ¬x_lj ∨ x_ij). Each has
-// the shape (f ∨ ¬a ∨ c) with f false, and can only fire once a is true or
-// c is false; the loop tests that before anything else.
+// the shape (f ∨ ¬a ∨ c) with f false, and can only act once a is true or
+// c is false while the clause is not yet satisfied. The bit planes of rows
+// i and j yield exactly the members l for which one of them can, and only
+// those are visited, in ascending order, each with the tests a scan over
+// every member would apply.
 func (s *Solver) propagatePair(gr *group, i, j int, p Lit) clauseRef {
-	st, m := gr.stride, s.gmat[gr.off:]
+	st, m, w := gr.stride, s.gmat[gr.off:], gr.words
 	x := m[i*st+j]
-	rowI, rowJ := m[i*st:i*st+gr.k], m[j*st:j*st+gr.k]
-	if p == x {
-		for l := range rowI {
-			if l == i || l == j {
-				continue
-			}
-			if a, c := rowJ[l], rowI[l]; s.value(a) == lTrue || s.value(c) == lFalse {
-				if cr := s.triple(x.Not(), a.Not(), c); cr != noClause {
+	ri, rj := s.gbits[gr.bits+4*w*i:], s.gbits[gr.bits+4*w*j:]
+	isTrue := p == x
+	// Every pair has its own variable, so an enqueue at column l changes
+	// only bit l of these rows: a word's mask, taken once, stays exact.
+	for wd := 0; wd < w; wd++ {
+		tOutI, fOutI, tInI, fInI := ri[wd], ri[w+wd], ri[2*w+wd], ri[3*w+wd]
+		tOutJ, fOutJ, tInJ, fInJ := rj[wd], rj[w+wd], rj[2*w+wd], rj[3*w+wd]
+		var mask uint64
+		if isTrue {
+			mask = tOutJ&^tOutI | fOutI&^fOutJ | tInI&^tInJ | fInJ&^fInI
+		} else {
+			mask = tOutI&^fInJ | tInJ&^fOutI
+		}
+		if i/64 == wd {
+			mask &^= 1 << (i % 64)
+		}
+		if j/64 == wd {
+			mask &^= 1 << (j % 64)
+		}
+		for ; mask != 0; mask &= mask - 1 {
+			l := wd*64 + bits.TrailingZeros64(mask)
+			if isTrue {
+				if a, c := m[j*st+l], m[i*st+l]; s.value(a) == lTrue || s.value(c) == lFalse {
+					if cr := s.triple(x.Not(), a.Not(), c); cr != noClause {
+						return cr
+					}
+				}
+				if a, c := m[l*st+i], m[l*st+j]; s.value(a) == lTrue || s.value(c) == lFalse {
+					if cr := s.triple(x.Not(), a.Not(), c); cr != noClause {
+						return cr
+					}
+				}
+			} else if a, c := m[i*st+l], m[l*st+j].Not(); s.value(a) == lTrue || s.value(c) == lFalse {
+				if cr := s.triple(x, a.Not(), c); cr != noClause {
 					return cr
 				}
-			}
-			if a, c := m[l*st+i], m[l*st+j]; s.value(a) == lTrue || s.value(c) == lFalse {
-				if cr := s.triple(x.Not(), a.Not(), c); cr != noClause {
-					return cr
-				}
-			}
-		}
-		return noClause
-	}
-	for l := range rowI {
-		if l == i || l == j {
-			continue
-		}
-		if a, c := rowI[l], m[l*st+j].Not(); s.value(a) == lTrue || s.value(c) == lFalse {
-			if cr := s.triple(x, a.Not(), c); cr != noClause {
-				return cr
 			}
 		}
 	}

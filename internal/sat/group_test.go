@@ -17,15 +17,30 @@ type groupFormula struct {
 	sizes   []int   // per group: final member count
 }
 
-// newGroupFormula draws one or two groups of 2–5 members over at most 20
-// pair variables, plus 1–3 free variables, with variables shuffled so
-// group pairs are not contiguous.
-func newGroupFormula(rng *rand.Rand) *groupFormula {
+// groupShape bounds the groups newGroupFormula draws: up to groups groups
+// of minK–maxK members, over at most pairs pair variables in all.
+type groupShape struct{ groups, minK, maxK, pairs int }
+
+var (
+	// smallGroups keeps formulas within reach of enumeration.
+	smallGroups = groupShape{groups: 2, minK: 2, maxK: 5, pairs: 20}
+	// wideGroups draws one group of more than 64 members, so the solver's
+	// rows of a member span two words.
+	wideGroups = groupShape{groups: 1, minK: 65, maxK: 72, pairs: 72 * 71}
+	// traceGroups draws two groups large enough that random three-literal
+	// clauses over their pairs need restarts to solve.
+	traceGroups = groupShape{groups: 2, minK: 9, maxK: 12, pairs: 2 * 12 * 11}
+)
+
+// newGroupFormula draws one to shape.groups groups over at most
+// shape.pairs pair variables, plus 1–3 free variables, with variables
+// shuffled so group pairs are not contiguous.
+func newGroupFormula(rng *rand.Rand, shape groupShape) *groupFormula {
 	var sizes []int
 	used := 0
-	for g := 0; g < 1+rng.Intn(2); g++ {
-		k := 2 + rng.Intn(4)
-		for k*(k-1) > 20-used {
+	for g := 0; g < 1+rng.Intn(shape.groups); g++ {
+		k := shape.minK + rng.Intn(shape.maxK-shape.minK+1)
+		for k*(k-1) > shape.pairs-used {
 			k--
 		}
 		if k < 2 {
@@ -124,11 +139,78 @@ func referenceStatus(t *testing.T, c *CNF, assume []Lit) Status {
 	return st
 }
 
+// groupFixpoint loads the formula, groups and all, into a fresh solver.
+func groupFixpoint(c *CNF) (lits []Lit, ok bool) {
+	s := New()
+	if !c.LoadInto(s) {
+		return nil, false
+	}
+	lits, _ = s.Fixpoint()
+	return sortedLits(lits), true
+}
+
+// groupStatus decides the formula under assumptions with a fresh solver.
+func groupStatus(c *CNF, assume []Lit) Status {
+	s := New()
+	if !c.LoadInto(s) {
+		return StatusUnsat
+	}
+	return s.Solve(assume...)
+}
+
 func (c *CNF) withUnits(ls []Lit) *CNF {
 	for _, l := range ls {
 		c.Add(l)
 	}
 	return c
+}
+
+// checkPlanes fails unless every bit of every group's planes equals the
+// current value of its member pair, and every bit past the members is clear.
+func checkPlanes(t *testing.T, s *Solver, iter int, event string) {
+	t.Helper()
+	for g := range s.groups {
+		gr := &s.groups[g]
+		w := gr.words
+		for i := 0; i < gr.stride; i++ {
+			row := s.gbits[gr.bits+4*w*i : gr.bits+4*w*(i+1)]
+			for l := 0; l < 64*w; l++ {
+				var want [4]bool // T_out, F_out, T_in, F_in
+				if i < gr.k && l < gr.k && i != l {
+					out := s.value(s.gmat[gr.off+i*gr.stride+l])
+					in := s.value(s.gmat[gr.off+l*gr.stride+i])
+					want = [4]bool{out == lTrue, out == lFalse, in == lTrue, in == lFalse}
+				}
+				for p, b := range want {
+					if got := row[p*w+l/64]>>(l%64)&1 == 1; got != b {
+						t.Fatalf("iter %d %s: group %d plane %d row %d bit %d is %v, pair value says %v",
+							iter, event, g, p, i, l, got, b)
+					}
+				}
+			}
+		}
+	}
+}
+
+// descend decides up to three open variables on s as search would,
+// checking the planes at every level, then backtracks to level 0 and
+// checks them again.
+func descend(t *testing.T, s *Solver, rng *rand.Rand, iter int) {
+	for d := 0; d < 3 && s.Okay(); d++ {
+		v := Var(rng.Intn(s.NumVars()))
+		if s.assigns[v] != lUndef {
+			continue
+		}
+		s.trailLim = append(s.trailLim, len(s.trail))
+		s.uncheckedEnqueue(MkLit(v, rng.Intn(2) == 0), noClause)
+		conflict := s.propagate() != noClause
+		checkPlanes(t, s, iter, "after a decision")
+		if conflict {
+			break
+		}
+	}
+	s.cancelUntil(0)
+	checkPlanes(t, s, iter, "after cancelUntil")
 }
 
 // TestGroupsAgainstExpandedTriples grows random formulas of groups and
@@ -137,19 +219,34 @@ func (c *CNF) withUnits(ls []Lit) *CNF {
 // solver loaded with the expanded triples and, for small formulas, with
 // enumeration: the same load verdict, the same level-0 fixpoint, the same
 // status and a model that satisfies the groups. At the end the solver is
-// Reset and reloaded and must again match.
+// Reset and reloaded and must again match. Throughout, the solver's bit
+// planes must agree with the assignment (checkPlanes), also above level 0.
+// One formula in 100 has a group of more than 64 members, so its rows span
+// two words; its joins and clauses arrive in bursts.
 func TestGroupsAgainstExpandedTriples(t *testing.T) {
 	rng := rand.New(rand.NewSource(20130408))
-	replayed := 0
+	replayed, wide := 0, 0
 	for iter := 0; iter < 400; iter++ {
-		f := newGroupFormula(rng)
+		big := iter%100 == 99
+		shape, burst := smallGroups, 1
+		if big {
+			shape, burst = wideGroups, 16
+		}
+		f := newGroupFormula(rng, shape)
 		inc := New()
 		for inc.NumVars() < f.cnf.NVars {
 			inc.NewVar()
 		}
 		loaded := 0
+		// A wide formula's expansion is too large to rebuild after every
+		// event, so until its last member joins it is checked against a
+		// fresh load of its groups instead.
+		expanded := func() bool { return !big || len(f.pendingJoins()) == 0 }
 		check := func(event string) {
-			want, wantOK := referenceFixpoint(f.cnf)
+			want, wantOK := groupFixpoint(f.cnf)
+			if expanded() {
+				want, wantOK = referenceFixpoint(f.cnf)
+			}
 			fresh := New()
 			if got := f.cnf.LoadInto(fresh); got != wantOK {
 				t.Fatalf("iter %d %s: group load ok=%v, expanded load ok=%v\n%s", iter, event, got, wantOK, f.cnf)
@@ -174,20 +271,27 @@ func TestGroupsAgainstExpandedTriples(t *testing.T) {
 			switch {
 			case r < 4 && len(joins) > 0:
 				g := joins[rng.Intn(len(joins))]
-				for _, l := range f.join(g) {
-					if inc.Okay() && inc.Value(l.Var()) != 0 {
-						replayed++
-						break
+				for n := burst; n > 0 && f.cnf.Groups[g].Members < f.sizes[g]; n-- {
+					for _, l := range f.join(g) {
+						if inc.Okay() && inc.Value(l.Var()) != 0 {
+							replayed++
+							break
+						}
 					}
 				}
 			case r < 8:
-				f.clause()
+				for n := burst; n > 0; n-- {
+					f.clause()
+				}
 			default:
 				var assume []Lit
 				for i := rng.Intn(3); i > 0; i-- {
 					assume = append(assume, MkLit(Var(rng.Intn(f.cnf.NVars)), rng.Intn(2) == 0))
 				}
-				want := referenceStatus(t, f.cnf, assume)
+				want := groupStatus(f.cnf, assume)
+				if expanded() {
+					want = referenceStatus(t, f.cnf, assume)
+				}
 				got := StatusUnsat
 				if inc.Okay() {
 					got = inc.Solve(assume...)
@@ -198,17 +302,27 @@ func TestGroupsAgainstExpandedTriples(t *testing.T) {
 				if got == StatusSat && !f.cnf.Eval(inc.Model()) {
 					t.Fatalf("iter %d: model violates the formula\n%s", iter, f.cnf)
 				}
+				checkPlanes(t, inc, iter, "after a solve")
+				descend(t, inc, rng, iter)
 			}
 			f.cnf.AppendInto(inc, loaded)
 			loaded = len(f.cnf.Clauses)
+			checkPlanes(t, inc, iter, "after a load")
 			check("after event")
-			if len(f.pendingJoins()) == 0 && rng.Intn(4) == 0 {
+			if len(f.pendingJoins()) == 0 && (big || rng.Intn(4) == 0) {
 				break
+			}
+		}
+		for _, k := range f.sizes {
+			if k > 64 {
+				wide++
 			}
 		}
 		want := referenceStatus(t, f.cnf, nil)
 		inc.Reset()
+		checkPlanes(t, inc, iter, "after Reset")
 		f.cnf.LoadInto(inc)
+		checkPlanes(t, inc, iter, "after a reload")
 		check("after Reset")
 		got := StatusUnsat
 		if inc.Okay() {
@@ -220,6 +334,9 @@ func TestGroupsAgainstExpandedTriples(t *testing.T) {
 	}
 	if replayed < 50 {
 		t.Fatalf("only %d joins met atoms already fixed at level 0; the schedule no longer exercises replay", replayed)
+	}
+	if wide < 4 {
+		t.Fatalf("only %d groups of more than 64 members; the schedule no longer exercises multi-word rows", wide)
 	}
 }
 
@@ -318,7 +435,7 @@ func TestGroupReasonSlotsReused(t *testing.T) {
 func TestGroupDIMACSWritesTriples(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for iter := 0; iter < 30; iter++ {
-		f := newGroupFormula(rng)
+		f := newGroupFormula(rng, smallGroups)
 		for len(f.pendingJoins()) > 0 {
 			f.join(f.pendingJoins()[0])
 			f.clause()
@@ -334,6 +451,48 @@ func TestGroupDIMACSWritesTriples(t *testing.T) {
 		if want := f.cnf.Expand(); !reflect.DeepEqual(got.Clauses, want.Clauses) || got.NVars != want.NVars {
 			t.Fatalf("iter %d: DIMACS read back %d clauses over %d vars, want the expansion's %d over %d",
 				iter, len(got.Clauses), got.NVars, len(want.Clauses), want.NVars)
+		}
+	}
+}
+
+// solveGroupTrace replays a seeded schedule of hard group formulas: each
+// draws traceGroups, makes every group a strict order with asymmetry
+// clauses, and grows on one incremental solver by member joins, bursts of
+// 20 random three-literal clauses and assumption solves. visit sees every
+// solve's status, with the solver back at level 0.
+func solveGroupTrace(seed int64, formulas int, visit func(s *Solver, st Status)) {
+	rng := rand.New(rand.NewSource(seed))
+	for n := 0; n < formulas; n++ {
+		f := newGroupFormula(rng, traceGroups)
+		s := New()
+		f.cnf.LoadInto(s)
+		loaded := 0
+		for events := 0; events < 40 || len(f.pendingJoins()) > 0; events++ {
+			joins := f.pendingJoins()
+			r := rng.Intn(10)
+			switch {
+			case r < 4 && len(joins) > 0:
+				pairs := f.join(joins[rng.Intn(len(joins))])
+				for i := 0; i < len(pairs); i += 2 {
+					f.cnf.Add(pairs[i].Not(), pairs[i+1].Not())
+				}
+			case r < 8:
+				for c := 0; c < 20; c++ {
+					var cl [3]Lit
+					for i := range cl {
+						cl[i] = MkLit(Var(rng.Intn(f.cnf.NVars)), rng.Intn(2) == 0)
+					}
+					f.cnf.Add(cl[:]...)
+				}
+			default:
+				var assume []Lit
+				for i := rng.Intn(4); i > 0; i-- {
+					assume = append(assume, MkLit(Var(rng.Intn(f.cnf.NVars)), rng.Intn(2) == 0))
+				}
+				visit(s, s.Solve(assume...))
+			}
+			f.cnf.AppendInto(s, loaded)
+			loaded = len(f.cnf.Clauses)
 		}
 	}
 }

@@ -11,10 +11,12 @@
 // for the transitivity clauses of a strict order over its members — the
 // cubic bulk of Φ(Se) — without storing them, and the solver propagates it
 // as a theory, in the manner of lazy clause generation (Ohrimenko, Stuckey
-// and Codish 2009): fixing a pair atom visits the group's other members
-// once and applies exactly the unit-propagation rules of the clauses it
-// stands for, and a propagated literal's reason is the three-literal clause
-// that implied it, which conflict analysis treats like any problem clause.
+// and Codish 2009): fixing a pair atom applies exactly the
+// unit-propagation rules of the clauses it stands for, visiting only the
+// members whose triple can act (bit planes of the members' assigned pairs
+// yield them in a few word operations), and a propagated literal's reason
+// is the three-literal clause that implied it, which conflict analysis
+// treats like any problem clause.
 // Unit-propagation closure, satisfiability and the level-0 Fixpoint are
 // therefore those of the expanded formula (CNF.Expand).
 package sat

@@ -62,12 +62,14 @@ type Solver struct {
 	// fixpoint of the problem clauses (see Fixpoint). Reset clears it.
 	rootLearnt bool
 
-	// Order groups (group.go): each pair variable's occurrences, linked
-	// from occHead; triples counts the transitivity clauses they stand for.
+	// Order groups (group.go): their literal matrices in gmat, their bit
+	// planes in gbits, each pair variable's occurrences linked from
+	// occHead; triples counts the transitivity clauses they stand for.
 	// Group consequences above level 0 borrow reason slots, which
 	// cancelUntil hands back to freeSlots.
 	groups    []group
 	gmat      []Lit
+	gbits     []uint64
 	occs      []groupOcc
 	occHead   []int32
 	triples   int
@@ -128,6 +130,7 @@ func (s *Solver) Reset() {
 	s.occHead = s.occHead[:0]
 	s.groups = s.groups[:0]
 	s.gmat = s.gmat[:0]
+	s.gbits = s.gbits[:0]
 	s.occs = s.occs[:0]
 	s.triples = 0
 	s.usedSlots = s.usedSlots[:0]
@@ -299,6 +302,9 @@ func (s *Solver) uncheckedEnqueue(l Lit, from clauseRef) {
 	s.reason[v] = from
 	s.level[v] = s.decisionLevel()
 	s.trail = append(s.trail, l)
+	if s.occHead[v] >= 0 {
+		s.markGroups(l, true)
+	}
 	if from != noClause && s.level[v] == 0 && s.arena[from].learnt {
 		s.rootLearnt = true
 	}
@@ -471,6 +477,9 @@ func (s *Solver) cancelUntil(lvl int) {
 		s.assigns[v] = lUndef
 		s.polarity[v] = l.Neg()
 		s.reason[v] = noClause
+		if s.occHead[v] >= 0 {
+			s.markGroups(l, false)
+		}
 		s.order.insert(v)
 	}
 	s.trail = s.trail[:s.trailLim[lvl]]

@@ -110,3 +110,40 @@ func BenchmarkAssumptionSolves(b *testing.B) {
 		s.Solve(MkLit(v, i%2 == 0))
 	}
 }
+
+// BenchmarkGroupPropagation measures order-group propagation the way a
+// resolve worker meets it: two 25-member groups with asymmetry clauses and
+// a few order facts, loaded into a reset solver and solved at the root
+// once per op. Nearly every pair atom is decided, and each decision
+// propagates through its group.
+func BenchmarkGroupPropagation(b *testing.B) {
+	const k = 25
+	c := NewCNF(0)
+	v := Var(0)
+	for range 2 {
+		g := c.NewGroup()
+		for m := 0; m < k; m++ {
+			var pairs []Lit
+			for i := 0; i < m; i++ {
+				pairs = append(pairs, PosLit(v), PosLit(v+1))
+				c.Add(NegLit(v), NegLit(v+1))
+				if m == i+1 && i%5 == 0 {
+					c.Add(PosLit(v))
+				}
+				v += 2
+			}
+			c.Join(g, pairs...)
+		}
+	}
+	s := New()
+	decisions := s.Stats.Decisions
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Reset()
+		if !c.LoadInto(s) || s.Solve() != StatusSat {
+			b.Fatal("strict orders with chain facts are satisfiable")
+		}
+	}
+	b.ReportMetric(float64(s.Stats.Decisions-decisions)/float64(b.N), "decisions/op")
+}
