@@ -2,103 +2,85 @@ package analysis
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
+	"go/types"
 	"regexp"
 	"strconv"
 	"strings"
 )
 
-// MetricName enforces the fleet metric conventions on the hand-rolled
-// Prometheus text endpoints: every metric is named crserve_* or crshard_*
-// in snake_case, counters end in _total and gauges do not, and every sample
-// line a package emits has a matching `# TYPE` declaration in that package
-// (histogram-style _bucket/_sum/_count suffixes resolve to their base
-// declaration).
+// MetricName enforces the fleet metric conventions on the one metrics
+// registry (internal/expo): every family is declared through
+// Registry.Counter or Registry.Gauge with a constant name, named crserve_*
+// or crshard_* in snake_case, and counters end in _total while gauges do
+// not. A Prometheus TYPE line written anywhere outside the registry package
+// is a second renderer and is reported too.
 var MetricName = &Analyzer{
 	Name: "metricname",
-	Doc:  "metrics follow the crserve_/crshard_ + _total-for-counters convention",
+	Doc:  "metric families are declared once in the expo registry under constant crserve_/crshard_ names, _total for counters only",
 	Run:  runMetricName,
 }
 
 var (
 	metricNameRE = regexp.MustCompile(`^(crserve|crshard)(_[a-z0-9]+)+$`)
-	// typeLineRE matches one `# TYPE <name> <kind>` declaration inside a
-	// string literal; anchoring on the known kinds keeps prose that merely
-	// mentions "# TYPE" out of scope.
-	typeLineRE = regexp.MustCompile(`# TYPE ([^ \n]+) (counter|gauge|histogram|summary|untyped)\b`)
-	// samplePrefixRE pulls the metric name off the front of a sample
-	// literal like "crserve_requests_total %d\n" or `crshard_up{backend=%q}`.
-	samplePrefixRE = regexp.MustCompile(`^(crserve|crshard)[A-Za-z0-9_]*`)
+	// typeLineRE finds an exposition TYPE line in a string literal. It is
+	// written so that this file's own literals do not match it.
+	typeLineRE = regexp.MustCompile(`#\s*TYPE\s`)
 )
 
-func runMetricName(pass *Pass) error {
-	type sample struct {
-		pos  token.Pos
-		name string
-	}
-	declared := make(map[string]bool)
-	var samples []sample
+// registryPkg is the name of the package that owns the exposition format.
+const registryPkg = "expo"
 
+func runMetricName(pass *Pass) error {
+	if pass.Pkg != nil && pass.Pkg.Name() == registryPkg {
+		return nil
+	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			lit, ok := n.(*ast.BasicLit)
-			if !ok || lit.Kind != token.STRING {
-				return true
-			}
-			val, err := strconv.Unquote(lit.Value)
-			if err != nil {
-				return true
-			}
-			if strings.Contains(val, "# TYPE ") {
-				for _, m := range typeLineRE.FindAllStringSubmatch(val, -1) {
-					name, kind := m[1], m[2]
-					declared[name] = true
-					if !metricNameRE.MatchString(name) {
-						pass.Reportf(lit.Pos(), "metric %q violates the naming convention: crserve_/crshard_ prefix, snake_case segments", name)
-						continue
-					}
-					switch kind {
-					case "counter":
-						if !strings.HasSuffix(name, "_total") {
-							pass.Reportf(lit.Pos(), "counter %q must end in _total", name)
-						}
-					case "gauge":
-						if strings.HasSuffix(name, "_total") {
-							pass.Reportf(lit.Pos(), "gauge %q must not end in _total (_total marks counters)", name)
-						}
-					}
+			switch n := n.(type) {
+			case *ast.BasicLit:
+				if n.Kind != token.STRING {
+					return true
 				}
-				return true
-			}
-			if m := samplePrefixRE.FindString(val); m != "" {
-				samples = append(samples, sample{pos: lit.Pos(), name: m})
+				if val, err := strconv.Unquote(n.Value); err == nil && typeLineRE.MatchString(val) {
+					pass.Reportf(n.Pos(), "exposition TYPE line written outside the %s registry; declare the family with Registry.Counter or Registry.Gauge", registryPkg)
+				}
+			case *ast.CallExpr:
+				checkMetricDecl(pass, n)
 			}
 			return true
 		})
 	}
-
-	// Sample cross-check only applies to metric-emitting packages — ones
-	// that declare at least one TYPE. Elsewhere a crserve_-prefixed string
-	// (a test fixture, a doc string) is not a sample.
-	if len(declared) == 0 {
-		return nil
-	}
-	for _, s := range samples {
-		name := s.name
-		if !metricNameRE.MatchString(name) {
-			pass.Reportf(s.pos, "metric sample %q violates the naming convention: crserve_/crshard_ prefix, snake_case segments", name)
-			continue
-		}
-		base := name
-		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			if strings.HasSuffix(name, suf) && declared[strings.TrimSuffix(name, suf)] {
-				base = strings.TrimSuffix(name, suf)
-				break
-			}
-		}
-		if !declared[base] {
-			pass.Reportf(s.pos, "sample emitted for metric %q with no # TYPE declaration in this package", name)
-		}
-	}
 	return nil
+}
+
+// checkMetricDecl checks one Registry.Counter or Registry.Gauge call.
+func checkMetricDecl(pass *Pass, call *ast.CallExpr) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || len(call.Args) == 0 {
+		return
+	}
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Name() != registryPkg {
+		return
+	}
+	kind := fn.Name()
+	if kind != "Counter" && kind != "Gauge" {
+		return
+	}
+	tv := pass.TypesInfo.Types[call.Args[0]]
+	if tv.Value == nil || tv.Value.Kind() != constant.String {
+		pass.Reportf(call.Args[0].Pos(), "metric name passed to %s must be a constant string", kind)
+		return
+	}
+	name := constant.StringVal(tv.Value)
+	switch {
+	case !metricNameRE.MatchString(name):
+		pass.Reportf(call.Args[0].Pos(), "metric %q violates the naming convention: crserve_/crshard_ prefix, snake_case segments", name)
+	case kind == "Counter" && !strings.HasSuffix(name, "_total"):
+		pass.Reportf(call.Args[0].Pos(), "counter %q must end in _total", name)
+	case kind == "Gauge" && strings.HasSuffix(name, "_total"):
+		pass.Reportf(call.Args[0].Pos(), "gauge %q must not end in _total (_total marks counters)", name)
+	}
 }

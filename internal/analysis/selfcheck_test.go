@@ -94,8 +94,8 @@ func TestMutationsCaught(t *testing.T) {
 		{
 			name:     "metricname/counter-suffix-dropped",
 			file:     "internal/server/metrics.go",
-			old:      "# TYPE crserve_requests_total counter",
-			new:      "# TYPE crserve_requests counter",
+			old:      `"crserve_requests_total"`,
+			new:      `"crserve_requests"`,
 			pattern:  "./internal/server",
 			analyzer: "metricname",
 			substr:   `counter "crserve_requests" must end in _total`,

@@ -1,20 +1,25 @@
-// Package bad seeds metricname violations: wrong prefixes, counters
-// without _total, gauges with it, and samples without declarations.
+// Package bad seeds metricname violations: computed names, wrong
+// prefixes, counters without _total, gauges with it, and a hand-written
+// exposition renderer.
 package bad
 
 import (
 	"fmt"
 	"io"
+
+	"fixtures/metricname/expo"
 )
 
-func write(w io.Writer, requests, depth int) {
-	fmt.Fprintf(w, "# TYPE crserve_requests counter\n") // want `counter "crserve_requests" must end in _total`
-	fmt.Fprintf(w, "crserve_requests %d\n", requests)
-	fmt.Fprintf(w, "# TYPE resolve_errors_total counter\n")    // want `metric "resolve_errors_total" violates the naming convention`
-	fmt.Fprintf(w, "# TYPE crshard_queue_depth_total gauge\n") // want `gauge "crshard_queue_depth_total" must not end in _total`
-	fmt.Fprintf(w, "crshard_queue_depth_total %d\n", depth)
-	fmt.Fprintf(w, "# TYPE crserve_Sessions_total counter\n")   // want `metric "crserve_Sessions_total" violates the naming convention`
-	fmt.Fprintf(w, "crserve_orphan_total %d\n", requests)       // want `sample emitted for metric "crserve_orphan_total" with no # TYPE declaration in this package`
-	fmt.Fprintf(w, "# TYPE crshard_replica_forwards counter\n") // want `counter "crshard_replica_forwards" must end in _total`
-	fmt.Fprintf(w, "crshard_replica_forwards %d\n", requests)
+func register(r *expo.Registry, shard string) {
+	r.Counter("crserve_requests", "")                // want `counter "crserve_requests" must end in _total`
+	r.Counter("resolve_errors_total", "")            // want `metric "resolve_errors_total" violates the naming convention`
+	r.Gauge("crshard_queue_depth_total", "")         // want `gauge "crshard_queue_depth_total" must not end in _total`
+	r.Counter("crserve_Sessions_total", "")          // want `metric "crserve_Sessions_total" violates the naming convention`
+	r.Counter("crshard_"+shard+"_total", "")         // want `metric name passed to Counter must be a constant string`
+	r.Gauge(fmt.Sprintf("crshard_%s_up", shard), "") // want `metric name passed to Gauge must be a constant string`
+}
+
+func write(w io.Writer, requests int) {
+	fmt.Fprintf(w, "# TYPE crserve_orphan_total counter\n") // want `exposition TYPE line written outside the expo registry`
+	fmt.Fprintf(w, "crserve_orphan_total %d\n", requests)
 }

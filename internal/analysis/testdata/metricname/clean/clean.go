@@ -1,31 +1,24 @@
-// Package clean writes metrics that follow every convention: crserve_/
-// crshard_ prefixes, snake_case, _total counters, plain gauges, and
-// histogram suffixes resolving to their base declaration.
+// Package clean declares metric families that follow every convention:
+// constant crserve_/crshard_ names in snake_case, _total counters and
+// plain gauges, all through the registry.
 package clean
 
 import (
 	"fmt"
-	"io"
+
+	"fixtures/metricname/expo"
 )
 
-func write(w io.Writer, requests, live int, bounds []float64, counts []int) {
-	fmt.Fprintf(w, "# TYPE crserve_requests_total counter\n")
-	fmt.Fprintf(w, "crserve_requests_total %d\n", requests)
-	fmt.Fprintf(w, "# TYPE crshard_live_sessions gauge\n")
-	fmt.Fprintf(w, "crshard_live_sessions %d\n", live)
-	fmt.Fprintf(w, "# TYPE crshard_retry_budget_exhausted_total counter\n")
-	fmt.Fprintf(w, "crshard_retry_budget_exhausted_total %d\n", requests)
-	fmt.Fprintf(w, "# TYPE crshard_replica_failover_total counter\n")
-	fmt.Fprintf(w, "crshard_replica_failover_total{op=\"get\"} %d\n", requests)
-	fmt.Fprintf(w, "crshard_replica_failover_total{op=\"upsert\"} %d\n", requests)
-	fmt.Fprintf(w, "# TYPE crshard_replica_pending gauge\n")
-	fmt.Fprintf(w, "crshard_replica_pending %d\n", live)
-	fmt.Fprintf(w, "# TYPE crserve_live_snapshot_restored_total counter\n")
-	fmt.Fprintf(w, "crserve_live_snapshot_restored_total %d\n", requests)
-	fmt.Fprintf(w, "# TYPE crserve_resolve_seconds histogram\n")
-	for i, b := range bounds {
-		fmt.Fprintf(w, "crserve_resolve_seconds_bucket{le=%q} %d\n", fmt.Sprint(b), counts[i])
-	}
-	fmt.Fprintf(w, "crserve_resolve_seconds_sum %d\n", requests)
-	fmt.Fprintf(w, "crserve_resolve_seconds_count %d\n", requests)
+const liveSessions = "crshard_live_sessions"
+
+func register(r *expo.Registry) {
+	r.Counter("crserve_requests_total", "HTTP requests served, per endpoint.")
+	r.Gauge(liveSessions, "Sessions held.")
+	r.Counter("crshard_retry_budget_exhausted_total", "")
+	r.Counter("crshard_replica_failover_total", "")
+	r.Gauge("crshard_replica_pending", "")
+	r.Counter("crserve_live_snapshot_restored_total", "")
 }
+
+// Prose about the format that is not a TYPE line stays out of scope.
+var note = fmt.Sprintf("scrape %s for the TYPE of each family", "/metrics")

@@ -224,7 +224,6 @@ type datasetSummaryJSON struct {
 // the result cache, and streamed back one result line per entity followed
 // by a summary line.
 func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
-	s.met.datasetRequests.Add(1)
 	// Result lines are gated until the row stream is fully received: the
 	// engine resolves entities while rows are still arriving, and an early
 	// response write would close the half-read request body (HTTP/1.1

@@ -186,7 +186,6 @@ func errStatus(code string) int {
 
 // handleResolve is POST /v1/resolve: one entity, JSON in, JSON out.
 func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
-	s.met.resolveRequests.Add(1)
 	var req resolveRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -213,7 +212,6 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 // "explain": true an invalid specification is diagnosed to a minimal
 // conflicting constraint set.
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	s.met.validateRequests.Add(1)
 	var req struct {
 		resolveRequest
 		Explain bool `json:"explain,omitempty"`
@@ -277,7 +275,6 @@ type batchHeader struct {
 // stream is fully received (HTTP/1.1 cannot full-duplex; see httpstream),
 // then stream as they complete.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.met.batchRequests.Add(1)
 	gw := httpstream.NewGatedWriter(w)
 	defer gw.Open() // cover reads that stop short of body EOF
 	sc := bufio.NewScanner(gw.BodyEOF(r.Body))
@@ -415,10 +412,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, &st)
-}
-
-// handleMetrics is GET /metrics.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.met.write(w, s.results, s.sessions, s.liveReg)
 }

@@ -153,7 +153,6 @@ func liveErrStatus(err error) (int, string) {
 // far comes back. The entity's cached state in the result LRU is
 // invalidated and replaced by the fresh snapshot.
 func (s *Server) handleEntityUpsert(w http.ResponseWriter, r *http.Request) {
-	s.met.entityRequests.Add(1)
 	key := r.PathValue("key")
 	var req entityUpsertRequest
 	if !s.decodeBody(w, r, &req) {
@@ -223,7 +222,6 @@ func (s *Server) handleEntityUpsert(w http.ResponseWriter, r *http.Request) {
 // state. Warm states are served from the result LRU without touching the
 // entity (an in-flight upsert does not block reads of the last snapshot).
 func (s *Server) handleEntityGet(w http.ResponseWriter, r *http.Request) {
-	s.met.entityRequests.Add(1)
 	key := r.PathValue("key")
 	if v, ok := s.results.get(liveEntityKey(key)); ok {
 		cached := *(v.(*entityStateJSON)) // shallow copy to stamp Cached
@@ -252,7 +250,6 @@ func (s *Server) handleEntityGet(w http.ResponseWriter, r *http.Request) {
 // handleEntityDelete is DELETE /v1/entity/{key}: drop the entity and its
 // cached state, returning its pooled pipeline.
 func (s *Server) handleEntityDelete(w http.ResponseWriter, r *http.Request) {
-	s.met.entityRequests.Add(1)
 	key := r.PathValue("key")
 	s.results.remove(liveEntityKey(key))
 	if !s.liveReg.Remove(key) {

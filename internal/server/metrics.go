@@ -1,56 +1,23 @@
 package server
 
 import (
-	"fmt"
-	"io"
 	"sync/atomic"
 
 	"conflictres"
+	"conflictres/internal/expo"
 	"conflictres/internal/live"
 )
 
 // metrics holds the server's monotonic counters. Everything is atomic so the
-// hot path never takes a lock for accounting.
+// hot path never takes a lock for accounting. register documents each
+// counter in its family's help text; the routes count requests.
 type metrics struct {
-	// Requests per endpoint.
-	resolveRequests  atomic.Int64
-	batchRequests    atomic.Int64
-	datasetRequests  atomic.Int64
-	validateRequests atomic.Int64
-	sessionRequests  atomic.Int64
-	entityRequests   atomic.Int64
-	errorResponses   atomic.Int64
-
-	// Dataset rows streamed through /v1/resolve/dataset.
-	datasetRows atomic.Int64
-
-	// Work done.
-	entitiesResolved atomic.Int64
-	entitiesInvalid  atomic.Int64
-	entitiesFailed   atomic.Int64
-
-	// Entities routed per resolution strategy, indexed by conflictres.Strategy
-	// (sessions and live entities count at creation, resolves per entity).
-	modeCounts [4]atomic.Int64
-
-	// Cumulative per-phase solver time, nanoseconds (from core.Timing).
-	validityNs atomic.Int64
-	deduceNs   atomic.Int64
-	suggestNs  atomic.Int64
-
-	// Incremental-session reuse counters (from Result.Session, and from the
-	// per-request delta of session and live-entity counters): how many
-	// solver builds the session engine performed vs how many ⊕ Ot steps it
-	// absorbed incrementally, and how many SAT queries the shared solvers
-	// answered.
-	sessionRebuilds atomic.Int64
-	sessionExtends  atomic.Int64
-	sessionSolves   atomic.Int64
-	sessionClauses  atomic.Int64
-
-	// Live-entity snapshot restore outcomes (RestoreLiveEntities).
-	liveRestored       atomic.Int64
-	liveRestoreSkipped atomic.Int64
+	errorResponses, datasetRows                                    atomic.Int64
+	entitiesResolved, entitiesInvalid, entitiesFailed              atomic.Int64
+	modeCounts                                                     [4]atomic.Int64 // indexed by conflictres.Strategy
+	validityNs, deduceNs, suggestNs                                atomic.Int64    // from core.Timing
+	sessionRebuilds, sessionExtends, sessionSolves, sessionClauses atomic.Int64
+	liveRestored, liveRestoreSkipped                               atomic.Int64
 }
 
 // observe accounts one resolved entity's outcome, phase timings and session
@@ -84,83 +51,52 @@ func (m *metrics) observeMode(s conflictres.Strategy) {
 	}
 }
 
-// write renders the counters in Prometheus text exposition format.
-func (m *metrics) write(w io.Writer, cache *lru, sessions, liveReg *live.Registry) {
-	hits, misses, size := cache.stats()
-	var hitRate float64
-	if hits+misses > 0 {
-		hitRate = float64(hits) / float64(hits+misses)
-	}
-	fmt.Fprintf(w, "# TYPE crserve_requests_total counter\n")
-	fmt.Fprintf(w, "crserve_requests_total{endpoint=\"resolve\"} %d\n", m.resolveRequests.Load())
-	fmt.Fprintf(w, "crserve_requests_total{endpoint=\"batch\"} %d\n", m.batchRequests.Load())
-	fmt.Fprintf(w, "crserve_requests_total{endpoint=\"dataset\"} %d\n", m.datasetRequests.Load())
-	fmt.Fprintf(w, "crserve_requests_total{endpoint=\"validate\"} %d\n", m.validateRequests.Load())
-	fmt.Fprintf(w, "crserve_requests_total{endpoint=\"session\"} %d\n", m.sessionRequests.Load())
-	fmt.Fprintf(w, "crserve_requests_total{endpoint=\"entity\"} %d\n", m.entityRequests.Load())
-	fmt.Fprintf(w, "# TYPE crserve_dataset_rows_total counter\n")
-	fmt.Fprintf(w, "crserve_dataset_rows_total %d\n", m.datasetRows.Load())
-	fmt.Fprintf(w, "# TYPE crserve_error_responses_total counter\n")
-	fmt.Fprintf(w, "crserve_error_responses_total %d\n", m.errorResponses.Load())
-	fmt.Fprintf(w, "# TYPE crserve_entities_total counter\n")
-	fmt.Fprintf(w, "crserve_entities_total{outcome=\"resolved\"} %d\n", m.entitiesResolved.Load())
-	fmt.Fprintf(w, "crserve_entities_total{outcome=\"invalid\"} %d\n", m.entitiesInvalid.Load())
-	fmt.Fprintf(w, "crserve_entities_total{outcome=\"failed\"} %d\n", m.entitiesFailed.Load())
-	fmt.Fprintf(w, "# TYPE crserve_resolve_mode_total counter\n")
+// register declares the server's metric families on r, in exposition
+// order, and returns the request family the routes add their samples to.
+func (m *metrics) register(r *expo.Registry, cache *lru, sessions, liveReg *live.Registry) *expo.Family {
+	requests := r.Counter("crserve_requests_total", "HTTP requests served, per endpoint.")
+	r.Counter("crserve_dataset_rows_total", "Rows streamed through /v1/resolve/dataset.").Int(m.datasetRows.Load)
+	r.Counter("crserve_error_responses_total", "Non-2xx responses.").Int(m.errorResponses.Load)
+	r.Counter("crserve_entities_total", "Entities resolved by /v1/resolve, batch and dataset, per outcome; session and live-entity work is not counted.").
+		Int(m.entitiesResolved.Load, "outcome", "resolved").
+		Int(m.entitiesInvalid.Load, "outcome", "invalid").
+		Int(m.entitiesFailed.Load, "outcome", "failed")
+	modes := r.Counter("crserve_resolve_mode_total", "Entities routed per requested strategy; sessions and live entities count at creation.")
 	for i, name := range conflictres.StrategyNames() {
-		fmt.Fprintf(w, "crserve_resolve_mode_total{mode=%q} %d\n", name, m.modeCounts[i].Load())
+		modes.Int(m.modeCounts[i].Load, "mode", name)
 	}
-	fmt.Fprintf(w, "# TYPE crserve_phase_seconds_total counter\n")
-	fmt.Fprintf(w, "crserve_phase_seconds_total{phase=\"validity\"} %g\n", float64(m.validityNs.Load())/1e9)
-	fmt.Fprintf(w, "crserve_phase_seconds_total{phase=\"deduce\"} %g\n", float64(m.deduceNs.Load())/1e9)
-	fmt.Fprintf(w, "crserve_phase_seconds_total{phase=\"suggest\"} %g\n", float64(m.suggestNs.Load())/1e9)
-	fmt.Fprintf(w, "# TYPE crserve_session_rebuilds_total counter\n")
-	fmt.Fprintf(w, "crserve_session_rebuilds_total %d\n", m.sessionRebuilds.Load())
-	fmt.Fprintf(w, "# TYPE crserve_session_extends_total counter\n")
-	fmt.Fprintf(w, "crserve_session_extends_total %d\n", m.sessionExtends.Load())
-	fmt.Fprintf(w, "# TYPE crserve_session_solves_total counter\n")
-	fmt.Fprintf(w, "crserve_session_solves_total %d\n", m.sessionSolves.Load())
-	fmt.Fprintf(w, "# TYPE crserve_session_clauses_loaded_total counter\n")
-	fmt.Fprintf(w, "crserve_session_clauses_loaded_total %d\n", m.sessionClauses.Load())
-	sc := sessions.CountersSnapshot()
-	fmt.Fprintf(w, "# TYPE crserve_session_store_live gauge\n")
-	fmt.Fprintf(w, "crserve_session_store_live %d\n", sessions.Live())
-	fmt.Fprintf(w, "# TYPE crserve_session_store_created_total counter\n")
-	fmt.Fprintf(w, "crserve_session_store_created_total %d\n", sc.Created)
-	fmt.Fprintf(w, "# TYPE crserve_session_store_expired_total counter\n")
-	fmt.Fprintf(w, "crserve_session_store_expired_total %d\n", sc.Expired)
-	fmt.Fprintf(w, "# TYPE crserve_session_store_evicted_total counter\n")
-	fmt.Fprintf(w, "crserve_session_store_evicted_total %d\n", sc.Evicted)
-	lc := liveReg.CountersSnapshot()
-	fmt.Fprintf(w, "# TYPE crserve_live_entities gauge\n")
-	fmt.Fprintf(w, "crserve_live_entities %d\n", liveReg.Live())
-	fmt.Fprintf(w, "# TYPE crserve_live_extends_total counter\n")
-	fmt.Fprintf(w, "crserve_live_extends_total %d\n", lc.Extends)
-	fmt.Fprintf(w, "# TYPE crserve_live_rebuilds_total counter\n")
-	fmt.Fprintf(w, "crserve_live_rebuilds_total %d\n", lc.Rebuilds)
-	fmt.Fprintf(w, "# TYPE crserve_live_created_total counter\n")
-	fmt.Fprintf(w, "crserve_live_created_total %d\n", lc.Created)
-	fmt.Fprintf(w, "# TYPE crserve_live_expired_total counter\n")
-	fmt.Fprintf(w, "crserve_live_expired_total %d\n", lc.Expired)
-	fmt.Fprintf(w, "# TYPE crserve_live_evicted_total counter\n")
-	fmt.Fprintf(w, "crserve_live_evicted_total %d\n", lc.Evicted)
-	fmt.Fprintf(w, "# TYPE crserve_live_snapshot_restored_total counter\n")
-	fmt.Fprintf(w, "crserve_live_snapshot_restored_total %d\n", m.liveRestored.Load())
-	fmt.Fprintf(w, "# TYPE crserve_live_snapshot_skipped_total counter\n")
-	fmt.Fprintf(w, "crserve_live_snapshot_skipped_total %d\n", m.liveRestoreSkipped.Load())
-	pool := conflictres.PoolCounters()
-	fmt.Fprintf(w, "# TYPE crserve_pool_hits_total counter\n")
-	fmt.Fprintf(w, "crserve_pool_hits_total %d\n", pool.Hits)
-	fmt.Fprintf(w, "# TYPE crserve_pool_misses_total counter\n")
-	fmt.Fprintf(w, "crserve_pool_misses_total %d\n", pool.Misses)
-	fmt.Fprintf(w, "# TYPE crserve_pool_skeleton_rebuilds_total counter\n")
-	fmt.Fprintf(w, "crserve_pool_skeleton_rebuilds_total %d\n", pool.SkeletonRebuilds)
-	fmt.Fprintf(w, "# TYPE crserve_cache_hits_total counter\n")
-	fmt.Fprintf(w, "crserve_cache_hits_total %d\n", hits)
-	fmt.Fprintf(w, "# TYPE crserve_cache_misses_total counter\n")
-	fmt.Fprintf(w, "crserve_cache_misses_total %d\n", misses)
-	fmt.Fprintf(w, "# TYPE crserve_cache_entries gauge\n")
-	fmt.Fprintf(w, "crserve_cache_entries %d\n", size)
-	fmt.Fprintf(w, "# TYPE crserve_cache_hit_rate gauge\n")
-	fmt.Fprintf(w, "crserve_cache_hit_rate %g\n", hitRate)
+	r.Counter("crserve_phase_seconds_total", "Solver time per phase of /v1/resolve, batch and dataset entities; session and live-entity work is not counted.").
+		Float(expo.Seconds(&m.validityNs), "phase", "validity").
+		Float(expo.Seconds(&m.deduceNs), "phase", "deduce").
+		Float(expo.Seconds(&m.suggestNs), "phase", "suggest")
+	r.Counter("crserve_session_rebuilds_total", "Full encode-and-load cycles of resolution sessions.").Int(m.sessionRebuilds.Load)
+	r.Counter("crserve_session_extends_total", "Se ⊕ Ot steps absorbed as incremental clause additions.").Int(m.sessionExtends.Load)
+	r.Counter("crserve_session_solves_total", "SAT queries answered by shared session solvers.").Int(m.sessionSolves.Load)
+	r.Counter("crserve_session_clauses_loaded_total", "Clauses attached to session solvers (loads and deltas).").Int(m.sessionClauses.Load)
+	r.Gauge("crserve_session_store_live", "Interactive sessions held.").Int(func() int64 { return int64(sessions.Live()) })
+	r.Counter("crserve_session_store_created_total", "Sessions created.").Int(func() int64 { return sessions.CountersSnapshot().Created })
+	r.Counter("crserve_session_store_expired_total", "Sessions dropped by the TTL.").Int(func() int64 { return sessions.CountersSnapshot().Expired })
+	r.Counter("crserve_session_store_evicted_total", "Sessions evicted by the LRU cap.").Int(func() int64 { return sessions.CountersSnapshot().Evicted })
+	r.Gauge("crserve_live_entities", "Live entities held.").Int(func() int64 { return int64(liveReg.Live()) })
+	r.Counter("crserve_live_extends_total", "Upsert deltas absorbed as incremental clause additions.").Int(func() int64 { return liveReg.CountersSnapshot().Extends })
+	r.Counter("crserve_live_rebuilds_total", "Non-monotone upsert deltas (re-encoded).").Int(func() int64 { return liveReg.CountersSnapshot().Rebuilds })
+	r.Counter("crserve_live_created_total", "Live entities created.").Int(func() int64 { return liveReg.CountersSnapshot().Created })
+	r.Counter("crserve_live_expired_total", "Live entities dropped by the TTL.").Int(func() int64 { return liveReg.CountersSnapshot().Expired })
+	r.Counter("crserve_live_evicted_total", "Live entities evicted by the LRU cap.").Int(func() int64 { return liveReg.CountersSnapshot().Evicted })
+	r.Counter("crserve_live_snapshot_restored_total", "Live entities replayed from the snapshot at startup.").Int(m.liveRestored.Load)
+	r.Counter("crserve_live_snapshot_skipped_total", "Snapshot lines dropped at restore.").Int(m.liveRestoreSkipped.Load)
+	r.Counter("crserve_pool_hits_total", "Pipeline-pool checkouts served warm (process-wide).").Int(func() int64 { return conflictres.PoolCounters().Hits })
+	r.Counter("crserve_pool_misses_total", "Pipeline-pool checkouts built fresh (process-wide).").Int(func() int64 { return conflictres.PoolCounters().Misses })
+	r.Counter("crserve_pool_skeleton_rebuilds_total", "Encodings pooled pipelines built from zero (process-wide).").Int(func() int64 { return conflictres.PoolCounters().SkeletonRebuilds })
+	r.Counter("crserve_cache_hits_total", "Result-cache hits.").Int(func() int64 { hits, _, _ := cache.stats(); return hits })
+	r.Counter("crserve_cache_misses_total", "Result-cache misses.").Int(func() int64 { _, misses, _ := cache.stats(); return misses })
+	r.Gauge("crserve_cache_entries", "Result-cache entries.").Int(func() int64 { _, _, size := cache.stats(); return int64(size) })
+	r.Gauge("crserve_cache_hit_rate", "Result-cache hits over lookups.").Float(func() float64 {
+		hits, misses, _ := cache.stats()
+		if hits+misses == 0 {
+			return 0
+		}
+		return float64(hits) / float64(hits+misses)
+	})
+	return requests
 }

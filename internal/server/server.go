@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"conflictres/internal/expo"
 	"conflictres/internal/live"
 )
 
@@ -159,20 +160,22 @@ func New(cfg Config) *Server {
 	}
 	s.janitorUp.Store(true)
 	go s.janitor(s.cfg.SessionSweep)
-	s.mux.HandleFunc("POST /v1/resolve", s.handleResolve)
-	s.mux.HandleFunc("POST /v1/resolve/batch", s.handleBatch)
-	s.mux.HandleFunc("POST /v1/resolve/dataset", s.handleDataset)
-	s.mux.HandleFunc("POST /v1/validate", s.handleValidate)
-	s.mux.HandleFunc("POST /v1/session", s.handleSessionCreate)
-	s.mux.HandleFunc("GET /v1/session/{id}", s.handleSessionGet)
-	s.mux.HandleFunc("POST /v1/session/{id}/answer", s.handleSessionAnswer)
-	s.mux.HandleFunc("DELETE /v1/session/{id}", s.handleSessionDelete)
-	s.mux.HandleFunc("POST /v1/entity/{key}/rows", s.handleEntityUpsert)
-	s.mux.HandleFunc("GET /v1/entity/{key}", s.handleEntityGet)
-	s.mux.HandleFunc("DELETE /v1/entity/{key}", s.handleEntityDelete)
+	reg := expo.New()
+	route := s.met.register(reg, s.results, s.sessions, s.liveReg).Routes(s.mux, "endpoint")
+	route("POST /v1/resolve", "resolve", s.handleResolve)
+	route("POST /v1/resolve/batch", "batch", s.handleBatch)
+	route("POST /v1/resolve/dataset", "dataset", s.handleDataset)
+	route("POST /v1/validate", "validate", s.handleValidate)
+	route("POST /v1/session", "session", s.handleSessionCreate)
+	route("GET /v1/session/{id}", "session", s.handleSessionGet)
+	route("POST /v1/session/{id}/answer", "session", s.handleSessionAnswer)
+	route("DELETE /v1/session/{id}", "session", s.handleSessionDelete)
+	route("POST /v1/entity/{key}/rows", "entity", s.handleEntityUpsert)
+	route("GET /v1/entity/{key}", "entity", s.handleEntityGet)
+	route("DELETE /v1/entity/{key}", "entity", s.handleEntityDelete)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.Handle("GET /metrics", reg)
 	return s
 }
 

@@ -185,7 +185,6 @@ type registryOutcome struct {
 // automatically, and the first suggestion. This is the one request in the
 // loop that pays an encode.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	s.met.sessionRequests.Add(1)
 	var req sessionCreateRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -241,7 +240,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 // handleSessionGet is GET /v1/session/{id}: the state the last accepted
 // round left, waiting out a round in flight. Nothing is recomputed.
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	s.met.sessionRequests.Add(1)
 	id := r.PathValue("id")
 	res, ok, err := s.sessions.Get(id)
 	switch {
@@ -269,7 +267,6 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 // decide whether the answer landed before re-sending. Documented in
 // docs/OPERATIONS.md.
 func (s *Server) handleSessionAnswer(w http.ResponseWriter, r *http.Request) {
-	s.met.sessionRequests.Add(1)
 	id := r.PathValue("id")
 	sch, ok := s.sessions.Schema(id)
 	if !ok {
@@ -309,7 +306,6 @@ func (s *Server) handleSessionAnswer(w http.ResponseWriter, r *http.Request) {
 // and unknown ids answer 404; deleting twice is a client error the second
 // time.
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	s.met.sessionRequests.Add(1)
 	id := r.PathValue("id")
 	if !s.sessions.Remove(id) {
 		s.writeSessionNotFound(w, id)

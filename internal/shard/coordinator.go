@@ -16,6 +16,7 @@ import (
 
 	"conflictres"
 	"conflictres/internal/backoff"
+	"conflictres/internal/expo"
 )
 
 // Error codes the coordinator adds on top of the backend envelope.
@@ -208,20 +209,22 @@ func New(cfg Config) (*Coordinator, error) {
 		c.backends = append(c.backends, b)
 	}
 	go c.healthLoop()
-	c.mux.HandleFunc("POST /v1/resolve", c.handleResolve)
-	c.mux.HandleFunc("POST /v1/validate", c.handleValidate)
-	c.mux.HandleFunc("POST /v1/resolve/batch", c.handleBatch)
-	c.mux.HandleFunc("POST /v1/resolve/dataset", c.handleDataset)
-	c.mux.HandleFunc("POST /v1/session", c.handleSessionCreate)
-	c.mux.HandleFunc("GET /v1/session/{id}", c.handleSessionProxy)
-	c.mux.HandleFunc("POST /v1/session/{id}/answer", c.handleSessionProxy)
-	c.mux.HandleFunc("DELETE /v1/session/{id}", c.handleSessionProxy)
-	c.mux.HandleFunc("POST /v1/entity/{key}/rows", c.handleEntityProxy)
-	c.mux.HandleFunc("GET /v1/entity/{key}", c.handleEntityProxy)
-	c.mux.HandleFunc("DELETE /v1/entity/{key}", c.handleEntityProxy)
+	reg := expo.New()
+	route := c.met.register(reg, c.ring, c.backends, c.repl.pending).Routes(c.mux, "endpoint")
+	route("POST /v1/resolve", "resolve", c.handleResolve)
+	route("POST /v1/resolve/batch", "batch", c.handleBatch)
+	route("POST /v1/resolve/dataset", "dataset", c.handleDataset)
+	route("POST /v1/validate", "validate", c.handleValidate)
+	route("POST /v1/session", "session", c.handleSessionCreate)
+	route("GET /v1/session/{id}", "session", c.handleSessionProxy)
+	route("POST /v1/session/{id}/answer", "session", c.handleSessionProxy)
+	route("DELETE /v1/session/{id}", "session", c.handleSessionProxy)
+	route("POST /v1/entity/{key}/rows", "entity", c.handleEntityProxy)
+	route("GET /v1/entity/{key}", "entity", c.handleEntityProxy)
+	route("DELETE /v1/entity/{key}", "entity", c.handleEntityProxy)
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
 	c.mux.HandleFunc("GET /readyz", c.handleReadyz)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
+	c.mux.Handle("GET /metrics", reg)
 	return c, nil
 }
 
@@ -488,12 +491,10 @@ func (c *Coordinator) forwardKeyed(w http.ResponseWriter, r *http.Request, path 
 }
 
 func (c *Coordinator) handleResolve(w http.ResponseWriter, r *http.Request) {
-	c.met.resolveRequests.Add(1)
 	c.forwardKeyed(w, r, "/v1/resolve")
 }
 
 func (c *Coordinator) handleValidate(w http.ResponseWriter, r *http.Request) {
-	c.met.validateRequests.Add(1)
 	c.forwardKeyed(w, r, "/v1/validate")
 }
 
@@ -522,11 +523,6 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable) //crlint:ignore wireerr readiness 503 carries the status JSON probes parse, not an error envelope
 	}
 	json.NewEncoder(w).Encode(&st)
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	c.met.write(w, c.ring, c.backends, c.repl.pending())
 }
 
 // compileHeaderRules validates a wire rule set locally so a bad header

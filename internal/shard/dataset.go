@@ -67,7 +67,6 @@ func (e *emitter) encRaw(line []byte) {
 // mid-partition is marked down and its whole partition is retried on the
 // next live backend, with results already relayed deduplicated by key.
 func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
-	c.met.datasetRequests.Add(1)
 	start := time.Now()
 	sc := bufio.NewScanner(r.Body)
 	bufSize := 64 << 10

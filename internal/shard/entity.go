@@ -32,7 +32,6 @@ import (
 // /v1/entity/{key} with replica failover on transport errors, under the
 // unified retry policy and budget.
 func (c *Coordinator) handleEntityProxy(w http.ResponseWriter, r *http.Request) {
-	c.met.entityRequests.Add(1)
 	key := r.PathValue("key")
 	if key == "" {
 		c.writeError(w, http.StatusBadRequest, codeBadRequest, "empty entity key")

@@ -56,7 +56,6 @@ func (e *emitter) emit(v any) {
 // mid-sub-batch is marked down and the sub-batch's unanswered entities are
 // retried on the next owner along the ring.
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	c.met.batchRequests.Add(1)
 	// Merged result lines are gated until the client's request stream is
 	// fully received (HTTP/1.1 cannot full-duplex; see httpstream), then
 	// stream as backends answer.

@@ -1,102 +1,58 @@
 package shard
 
 import (
-	"fmt"
-	"io"
 	"sync/atomic"
+
+	"conflictres/internal/expo"
 )
 
 // metrics holds the coordinator's monotonic counters; per-backend counters
-// live on the backend structs and are rendered alongside.
+// live on the backend structs. register documents each counter in its
+// family's help text; the routes count requests.
 type metrics struct {
-	resolveRequests  atomic.Int64
-	batchRequests    atomic.Int64
-	datasetRequests  atomic.Int64
-	validateRequests atomic.Int64
-	sessionRequests  atomic.Int64
-	entityRequests   atomic.Int64
-	errorResponses   atomic.Int64
-
-	// noBackend counts entities that exhausted every live backend and were
-	// answered with an in-band no_backend error.
-	noBackend atomic.Int64
-
-	// retryBudgetExhausted counts requests shed because their failover
-	// budget ran out while backends kept failing — load the coordinator
-	// refused to keep hammering a degraded fleet with.
-	retryBudgetExhausted atomic.Int64
-
-	// Live-entity replication: forwards that reached a replica, forwards
-	// dropped after exhausting their budget (the replica's lag persists),
-	// and requests served by a non-primary backend after failover.
-	replicaForwards        atomic.Int64
-	replicaForwardFailures atomic.Int64
-	replicaFailoverGet     atomic.Int64
-	replicaFailoverUpsert  atomic.Int64
-	replicaFailoverDelete  atomic.Int64
-
-	// Merge-path time: nanoseconds spent decoding, restamping, and writing
-	// backend result lines into the merged client response.
-	batchMergeNs   atomic.Int64
-	datasetMergeNs atomic.Int64
+	errorResponses, noBackend, retryBudgetExhausted                  atomic.Int64
+	replicaForwards, replicaForwardFailures                          atomic.Int64
+	replicaFailoverGet, replicaFailoverUpsert, replicaFailoverDelete atomic.Int64
+	batchMergeNs, datasetMergeNs                                     atomic.Int64
 }
 
-// write renders the coordinator counters plus the per-backend counters and
-// ring occupancy in Prometheus text exposition format.
-func (m *metrics) write(w io.Writer, ring *Ring, backends []*backend, replicaPending int) {
-	fmt.Fprintf(w, "# TYPE crshard_requests_total counter\n")
-	fmt.Fprintf(w, "crshard_requests_total{endpoint=\"resolve\"} %d\n", m.resolveRequests.Load())
-	fmt.Fprintf(w, "crshard_requests_total{endpoint=\"batch\"} %d\n", m.batchRequests.Load())
-	fmt.Fprintf(w, "crshard_requests_total{endpoint=\"dataset\"} %d\n", m.datasetRequests.Load())
-	fmt.Fprintf(w, "crshard_requests_total{endpoint=\"validate\"} %d\n", m.validateRequests.Load())
-	fmt.Fprintf(w, "crshard_requests_total{endpoint=\"session\"} %d\n", m.sessionRequests.Load())
-	fmt.Fprintf(w, "crshard_requests_total{endpoint=\"entity\"} %d\n", m.entityRequests.Load())
-	fmt.Fprintf(w, "# TYPE crshard_error_responses_total counter\n")
-	fmt.Fprintf(w, "crshard_error_responses_total %d\n", m.errorResponses.Load())
-	fmt.Fprintf(w, "# TYPE crshard_no_backend_total counter\n")
-	fmt.Fprintf(w, "crshard_no_backend_total %d\n", m.noBackend.Load())
-	fmt.Fprintf(w, "# TYPE crshard_retry_budget_exhausted_total counter\n")
-	fmt.Fprintf(w, "crshard_retry_budget_exhausted_total %d\n", m.retryBudgetExhausted.Load())
-	fmt.Fprintf(w, "# TYPE crshard_replica_forwards_total counter\n")
-	fmt.Fprintf(w, "crshard_replica_forwards_total %d\n", m.replicaForwards.Load())
-	fmt.Fprintf(w, "# TYPE crshard_replica_forward_failures_total counter\n")
-	fmt.Fprintf(w, "crshard_replica_forward_failures_total %d\n", m.replicaForwardFailures.Load())
-	fmt.Fprintf(w, "# TYPE crshard_replica_failover_total counter\n")
-	fmt.Fprintf(w, "crshard_replica_failover_total{op=\"get\"} %d\n", m.replicaFailoverGet.Load())
-	fmt.Fprintf(w, "crshard_replica_failover_total{op=\"upsert\"} %d\n", m.replicaFailoverUpsert.Load())
-	fmt.Fprintf(w, "crshard_replica_failover_total{op=\"delete\"} %d\n", m.replicaFailoverDelete.Load())
-	fmt.Fprintf(w, "# TYPE crshard_replica_pending gauge\n")
-	fmt.Fprintf(w, "crshard_replica_pending %d\n", replicaPending)
-	fmt.Fprintf(w, "# TYPE crshard_merge_seconds_total counter\n")
-	fmt.Fprintf(w, "crshard_merge_seconds_total{endpoint=\"batch\"} %g\n", float64(m.batchMergeNs.Load())/1e9)
-	fmt.Fprintf(w, "crshard_merge_seconds_total{endpoint=\"dataset\"} %g\n", float64(m.datasetMergeNs.Load())/1e9)
-
-	fmt.Fprintf(w, "# TYPE crshard_ring_backends gauge\n")
-	fmt.Fprintf(w, "crshard_ring_backends %d\n", ring.Backends())
-	fmt.Fprintf(w, "# TYPE crshard_ring_vnodes gauge\n")
-	fmt.Fprintf(w, "crshard_ring_vnodes %d\n", ring.VNodes())
-	fmt.Fprintf(w, "# TYPE crshard_ring_share gauge\n")
+// register declares the coordinator's metric families on r, in
+// exposition order, and returns the request family the routes add their
+// samples to. The backend set is fixed at New, so per-backend samples are
+// declared once here.
+func (m *metrics) register(r *expo.Registry, ring *Ring, backends []*backend, pending func() int) *expo.Family {
+	requests := r.Counter("crshard_requests_total", "Client requests, per endpoint.")
+	r.Counter("crshard_error_responses_total", "Non-2xx coordinator responses.").Int(m.errorResponses.Load)
+	r.Counter("crshard_no_backend_total", "Entities that exhausted every live backend and were answered no_backend.").Int(m.noBackend.Load)
+	r.Counter("crshard_retry_budget_exhausted_total", "Requests shed mid-failover when the retry budget ran out, instead of hammering a degraded fleet.").Int(m.retryBudgetExhausted.Load)
+	r.Counter("crshard_replica_forwards_total", "Live-entity deltas and invalidations that reached the replica.").Int(m.replicaForwards.Load)
+	r.Counter("crshard_replica_forward_failures_total", "Replica forwards dropped after exhausting their budget; the replica's lag persists.").Int(m.replicaForwardFailures.Load)
+	r.Counter("crshard_replica_failover_total", "Entity requests served by a non-primary backend, per operation.").
+		Int(m.replicaFailoverGet.Load, "op", "get").
+		Int(m.replicaFailoverUpsert.Load, "op", "upsert").
+		Int(m.replicaFailoverDelete.Load, "op", "delete")
+	r.Gauge("crshard_replica_pending", "Queued replication forwards not yet sent.").Int(func() int64 { return int64(pending()) })
+	r.Counter("crshard_merge_seconds_total", "Time spent decoding, restamping and writing backend result lines into client responses.").
+		Float(expo.Seconds(&m.batchMergeNs), "endpoint", "batch").
+		Float(expo.Seconds(&m.datasetMergeNs), "endpoint", "dataset")
+	r.Gauge("crshard_ring_backends", "Backends on the ring.").Int(func() int64 { return int64(ring.Backends()) })
+	r.Gauge("crshard_ring_vnodes", "Virtual nodes on the ring.").Int(func() int64 { return int64(ring.VNodes()) })
+	share := r.Gauge("crshard_ring_share", "Each backend's arc fraction of the ring.")
+	up := r.Gauge("crshard_backend_up", "1 while the backend is on the live set.")
+	sent := r.Counter("crshard_backend_requests_total", "Sub-requests sent to the backend.")
+	failed := r.Counter("crshard_backend_errors_total", "Transport failures talking to the backend.")
+	retried := r.Counter("crshard_backend_retries_total", "Work the backend absorbed from a failed sibling.")
 	for i, b := range backends {
-		fmt.Fprintf(w, "crshard_ring_share{backend=%q} %g\n", b.url, ring.Share(i))
+		share.Float(func() float64 { return ring.Share(i) }, "backend", b.url)
+		up.Int(func() int64 {
+			if b.up.Load() {
+				return 1
+			}
+			return 0
+		}, "backend", b.url)
+		sent.Int(b.requests.Load, "backend", b.url)
+		failed.Int(b.errors.Load, "backend", b.url)
+		retried.Int(b.retries.Load, "backend", b.url)
 	}
-	fmt.Fprintf(w, "# TYPE crshard_backend_up gauge\n")
-	for _, b := range backends {
-		up := 0
-		if b.up.Load() {
-			up = 1
-		}
-		fmt.Fprintf(w, "crshard_backend_up{backend=%q} %d\n", b.url, up)
-	}
-	fmt.Fprintf(w, "# TYPE crshard_backend_requests_total counter\n")
-	for _, b := range backends {
-		fmt.Fprintf(w, "crshard_backend_requests_total{backend=%q} %d\n", b.url, b.requests.Load())
-	}
-	fmt.Fprintf(w, "# TYPE crshard_backend_errors_total counter\n")
-	for _, b := range backends {
-		fmt.Fprintf(w, "crshard_backend_errors_total{backend=%q} %d\n", b.url, b.errors.Load())
-	}
-	fmt.Fprintf(w, "# TYPE crshard_backend_retries_total counter\n")
-	for _, b := range backends {
-		fmt.Fprintf(w, "crshard_backend_retries_total{backend=%q} %d\n", b.url, b.retries.Load())
-	}
+	return requests
 }

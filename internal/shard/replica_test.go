@@ -395,7 +395,7 @@ func TestEntityChaosAtLeastOnce(t *testing.T) {
 
 	// The unified-retry metric families render (values are storm-dependent).
 	rec := httptest.NewRecorder()
-	c.handleMetrics(rec, nil)
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	for _, want := range []string{
 		"crshard_retry_budget_exhausted_total",
 		"crshard_replica_forwards_total",

@@ -56,7 +56,6 @@ func rewriteSessionBody(data []byte, tag string) []byte {
 // exists yet), then hand the client a tagged session id that pins every
 // follow-up request to that backend.
 func (c *Coordinator) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	c.met.sessionRequests.Add(1)
 	body, ok := c.readBody(w, r)
 	if !ok {
 		return
@@ -108,7 +107,6 @@ func (c *Coordinator) handleSessionCreate(w http.ResponseWriter, r *http.Request
 // sibling to retry on — an unreachable owner answers 502 and the client
 // re-creates (or the operator restores from a snapshot).
 func (c *Coordinator) handleSessionProxy(w http.ResponseWriter, r *http.Request) {
-	c.met.sessionRequests.Add(1)
 	id := r.PathValue("id")
 	b, inner, ok := c.splitSessionID(id)
 	if !ok {
