@@ -200,8 +200,9 @@ func NewSpecFromRules(in *Instance, rules *RuleSet) (*Spec, error) {
 			in.Schema(), rules.schema)
 	}
 	// Constraints are immutable values; sharing the slices across specs is
-	// safe (model.Spec.Clone shares them the same way).
-	m := model.NewSpec(model.NewTemporal(in), rules.sigma, rules.gamma)
+	// safe. The parser validated each one against the rule set's schema, so
+	// Validate checks only what the instance adds.
+	m := model.NewCompiledSpec(model.NewTemporal(in), rules.sigma, rules.gamma)
 	m.Trust = rules.trust
 	if err := m.Validate(); err != nil {
 		return nil, err

@@ -17,6 +17,7 @@ package constraint
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"conflictres/internal/relation"
@@ -224,15 +225,13 @@ func (c CFD) Validate(sch *relation.Schema) error {
 	if c.VB.IsNull() {
 		return fmt.Errorf("constraint: CFD consequent constant must not be null")
 	}
-	seen := make(map[relation.Attr]bool)
-	for _, a := range c.X {
+	for i, a := range c.X {
 		if int(a) < 0 || int(a) >= sch.Len() {
 			return fmt.Errorf("constraint: CFD attribute %d out of schema range", a)
 		}
-		if seen[a] {
+		if slices.Contains(c.X[:i], a) {
 			return fmt.Errorf("constraint: CFD repeats attribute %s", sch.Name(a))
 		}
-		seen[a] = true
 		if a == c.B {
 			return fmt.Errorf("constraint: CFD RHS attribute %s also appears on the LHS", sch.Name(a))
 		}

@@ -73,6 +73,31 @@ type Spec struct {
 	// Trust weights tuple sources for tie-breaking; nil means uniform trust
 	// and leaves every algorithm byte-identical to the trust-free framework.
 	Trust *constraint.TrustTable
+
+	// compiled records the constraint slices NewCompiledSpec was given as
+	// already checked; see Validate.
+	compiled compiledRules
+}
+
+// compiledRules names constraint slices that were validated against a
+// schema of the given arity when they were compiled.
+type compiledRules struct {
+	sigma []constraint.Currency
+	gamma []constraint.CFD
+	arity int
+}
+
+// covers reports whether s still holds exactly the compiled slices over a
+// schema of the compiled arity.
+func (c compiledRules) covers(s *Spec) bool {
+	return c.arity > 0 && c.arity == s.Schema().Len() &&
+		sameSlice(c.sigma, s.Sigma) && sameSlice(c.gamma, s.Gamma)
+}
+
+// sameSlice reports whether a and b are the same slice: one backing array,
+// one length.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // NewSpec bundles a temporal instance with constraint sets. The slices are
@@ -81,10 +106,25 @@ func NewSpec(ti *TemporalInstance, sigma []constraint.Currency, gamma []constrai
 	return &Spec{TI: ti, Sigma: sigma, Gamma: gamma}
 }
 
+// NewCompiledSpec is NewSpec for constraints that were validated against
+// a schema of ti's arity when they were compiled — the constraint parser
+// validates every constraint it returns, so a compiled rule set's Σ and Γ
+// qualify. While the spec holds these very slices, Validate checks only
+// what the instance adds; reassigning Sigma or Gamma restores the full
+// check.
+func NewCompiledSpec(ti *TemporalInstance, sigma []constraint.Currency, gamma []constraint.CFD) *Spec {
+	s := NewSpec(ti, sigma, gamma)
+	s.compiled = compiledRules{sigma: sigma, gamma: gamma, arity: ti.Inst.Schema().Len()}
+	return s
+}
+
 // Schema returns the specification's relation schema.
 func (s *Spec) Schema() *relation.Schema { return s.TI.Inst.Schema() }
 
-// Validate checks structural well-formedness of all parts.
+// Validate checks structural well-formedness of all parts: a non-empty
+// instance whose tuples match the schema's arity, every constraint of Σ
+// and Γ (skipped for constraints compiled for this schema, see
+// NewCompiledSpec), and order edges between existing tuples.
 func (s *Spec) Validate() error {
 	if s.TI == nil || s.TI.Inst == nil {
 		return fmt.Errorf("model: spec has no temporal instance")
@@ -93,17 +133,24 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("model: entity instance is empty")
 	}
 	sch := s.Schema()
-	for i, c := range s.Sigma {
-		if err := c.Validate(sch); err != nil {
-			return fmt.Errorf("model: currency constraint %d: %w", i, err)
+	if !s.compiled.covers(s) {
+		for i, c := range s.Sigma {
+			if err := c.Validate(sch); err != nil {
+				return fmt.Errorf("model: currency constraint %d: %w", i, err)
+			}
 		}
-	}
-	for i, c := range s.Gamma {
-		if err := c.Validate(sch); err != nil {
-			return fmt.Errorf("model: CFD %d: %w", i, err)
+		for i, c := range s.Gamma {
+			if err := c.Validate(sch); err != nil {
+				return fmt.Errorf("model: CFD %d: %w", i, err)
+			}
 		}
 	}
 	n := relation.TupleID(s.TI.Inst.Len())
+	for id := relation.TupleID(0); id < n; id++ {
+		if len(s.TI.Inst.Tuple(id)) != sch.Len() {
+			return fmt.Errorf("model: tuple %d has %d values, schema has %d", id, len(s.TI.Inst.Tuple(id)), sch.Len())
+		}
+	}
 	for _, e := range s.TI.Edges {
 		if e.T1 < 0 || e.T2 < 0 || e.T1 >= n || e.T2 >= n {
 			return fmt.Errorf("model: order edge refers to missing tuple: %+v", e)
@@ -115,12 +162,17 @@ func (s *Spec) Validate() error {
 // Clone deep-copies the specification (constraints and the trust table are
 // immutable values and are shared structurally).
 func (s *Spec) Clone() *Spec {
-	return &Spec{
+	out := &Spec{
 		TI:    s.TI.Clone(),
 		Sigma: append([]constraint.Currency(nil), s.Sigma...),
 		Gamma: append([]constraint.CFD(nil), s.Gamma...),
 		Trust: s.Trust,
 	}
+	if s.compiled.covers(s) {
+		// The copies hold the same checked constraints.
+		out.compiled = compiledRules{sigma: out.Sigma, gamma: out.Gamma, arity: s.compiled.arity}
+	}
+	return out
 }
 
 // Extend implements Se ⊕ Ot for user input (paper Section III, Remarks (1)):

@@ -138,3 +138,42 @@ func TestValidateRejectsBadEdge(t *testing.T) {
 		t.Fatal("dangling edge must fail validation")
 	}
 }
+
+// TestCompiledSpecChecksOnlyTheInstance: a spec over compiled constraints
+// skips their re-check but still checks the instance and its edges; once
+// Sigma or Gamma is reassigned (or the instance's arity differs), every
+// constraint is checked again.
+func TestCompiledSpecChecksOnlyTheInstance(t *testing.T) {
+	base := twoTupleSpec(t)
+	// A constraint no parser would return stands in for "already checked":
+	// skipping it is what the compiled mark promises.
+	sigma := append(base.Sigma, constraint.Currency{Target: 99})
+	spec := NewCompiledSpec(base.TI, sigma, base.Gamma)
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("compiled constraints re-checked: %v", err)
+	}
+	if err := spec.Clone().Validate(); err != nil {
+		t.Fatalf("clone lost the compiled mark: %v", err)
+	}
+
+	spec.TI.Edges = append(spec.TI.Edges, OrderEdge{Attr: 0, T1: 0, T2: 9})
+	if err := spec.Validate(); err == nil {
+		t.Fatal("dangling edge must fail validation of a compiled spec")
+	}
+	spec.TI.Edges = nil
+
+	spec.Sigma = append([]constraint.Currency(nil), sigma...)
+	if err := spec.Validate(); err == nil {
+		t.Fatal("reassigned Sigma must be checked in full")
+	}
+	spec.Sigma = sigma
+	spec.Gamma = append([]constraint.CFD(nil), base.Gamma...)
+	if err := spec.Validate(); err == nil {
+		t.Fatal("reassigned Gamma must restore the full check")
+	}
+
+	empty := NewCompiledSpec(NewTemporal(relation.NewInstance(base.Schema())), base.Sigma, base.Gamma)
+	if err := empty.Validate(); err == nil || err.Error() != "model: entity instance is empty" {
+		t.Fatalf("empty compiled instance: %v", err)
+	}
+}

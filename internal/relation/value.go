@@ -103,11 +103,20 @@ func (v Value) String() string {
 
 // Quote renders the value in a form the constraint parser accepts back:
 // strings are double-quoted, numbers are bare, null is the keyword null.
-func (v Value) Quote() string {
-	if v.kind == KindString {
-		return strconv.Quote(v.s)
+func (v Value) Quote() string { return string(v.AppendQuote(nil)) }
+
+// AppendQuote appends Quote's form of v to b.
+func (v Value) AppendQuote(b []byte) []byte {
+	switch v.kind {
+	case KindString:
+		return strconv.AppendQuote(b, v.s)
+	case KindInt:
+		return strconv.AppendInt(b, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(b, v.f, 'g', -1, 64)
+	default:
+		return append(b, "null"...)
 	}
-	return v.String()
 }
 
 // Compare orders two values. Null sorts below every non-null value (the
@@ -166,29 +175,49 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 // module (HTTP codec, NDJSON datasets, crgen exports) carries only
 // relational cell values, and this is their single decoder.
 func FromJSONScalar(raw []byte) (Value, error) {
-	s := string(raw)
-	if s == "" || s == "null" {
+	if len(raw) == 0 || string(raw) == "null" {
 		return Null, nil
 	}
-	switch s[0] {
+	switch raw[0] {
 	case '"':
+		if s, ok := plainJSONString(raw); ok {
+			return String(s), nil
+		}
 		var str string
 		if err := json.Unmarshal(raw, &str); err != nil {
 			return Null, err
 		}
 		return String(str), nil
 	case '{', '[', 't', 'f':
-		return Null, fmt.Errorf("unsupported value %s (want null, string or number)", s)
+		return Null, fmt.Errorf("unsupported value %s (want null, string or number)", raw)
 	default:
-		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+		if i, err := strconv.ParseInt(string(raw), 10, 64); err == nil {
 			return Int(i), nil
 		}
-		f, err := strconv.ParseFloat(s, 64)
+		f, err := strconv.ParseFloat(string(raw), 64)
 		if err != nil {
-			return Null, fmt.Errorf("bad value %s: %w", s, err)
+			return Null, fmt.Errorf("bad value %s: %w", raw, err)
 		}
 		return Float(f), nil
 	}
+}
+
+// plainJSONString decodes a quoted JSON string whose body needs no
+// decoding: printable ASCII without escapes or quotes, which is its own
+// value. Anything else reports false and takes json.Unmarshal's path, so
+// escapes, control bytes, non-ASCII and invalid UTF-8 decode (or fail)
+// exactly as the reference does.
+func plainJSONString(raw []byte) (string, bool) {
+	if len(raw) < 2 || raw[len(raw)-1] != '"' {
+		return "", false
+	}
+	body := raw[1 : len(raw)-1]
+	for _, c := range body {
+		if c < 0x20 || c >= 0x80 || c == '"' || c == '\\' {
+			return "", false
+		}
+	}
+	return string(body), true
 }
 
 // AsJSON returns the value in its JSON-encodable form — nil, string,

@@ -4,77 +4,74 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
-	"hash"
 	"sync"
 
 	"conflictres"
 )
 
-// cacheKey identifies one resolution problem: a canonical hash of
-// (schema, Σ, Γ, instance, orders). Identical replicated entities — the
+// cacheKey identifies one resolution problem: a canonical hash of the rule
+// set and the entity (see specKey). Identical replicated entities — the
 // common case when the same record arrives from many sources — hit the same
 // key and skip all SAT work.
 type cacheKey [sha256.Size]byte
 
-// hashField writes one length-prefixed field so concatenations cannot
-// collide across field boundaries.
-func hashField(h hash.Hash, s string) {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
-	h.Write(n[:])
-	h.Write([]byte(s))
+// keyBufs recycles the buffers keys are framed into.
+var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+// framedKey hashes the fields frame appends to a pooled buffer.
+func framedKey(frame func(b []byte) []byte) cacheKey {
+	bp := keyBufs.Get().(*[]byte)
+	b := frame((*bp)[:0])
+	k := cacheKey(sha256.Sum256(b))
+	if cap(b) <= 64<<10 { // a rare huge buffer is not kept
+		*bp = b
+		keyBufs.Put(bp)
+	}
+	return k
 }
 
-// specKey hashes a rule set plus one wire entity into a cache key. The
-// entity's raw JSON cells are decoded before binding, so hashing uses the
-// canonical Quote form of each decoded value (not the raw bytes, which could
-// differ in float spelling for equal values only after decoding — rather than
-// risk that, we hash the bound spec's own tuples).
-func specKey(rules *conflictres.RuleSet, spec *conflictres.Spec, orders []orderJSON, mode conflictres.ResolutionMode) cacheKey {
-	h := sha256.New()
-	for _, n := range rules.Schema().Names() {
-		hashField(h, n)
-	}
-	hashField(h, "#sigma")
-	for _, s := range rules.CurrencyTexts() {
-		hashField(h, s)
-	}
-	hashField(h, "#gamma")
-	for _, s := range rules.CFDTexts() {
-		hashField(h, s)
-	}
-	hashField(h, "#trust")
-	for _, s := range rules.TrustTexts() {
-		hashField(h, s)
-	}
-	hashField(h, "#data")
-	in := spec.Instance()
-	for _, id := range in.TupleIDs() {
-		for _, v := range in.Tuple(id) {
-			hashField(h, v.Quote())
+// appendField appends one length-prefixed field; the framing keeps
+// concatenations from colliding across field boundaries.
+func appendField(b []byte, s string) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// specKey keys one resolution problem: the rule set's rulesKey (schema, Σ,
+// Γ and trust texts, hashed once per request by compileRules) plus the
+// bound entity — each cell in its canonical Quote form (so equal decoded
+// values share a key whatever their wire spelling), the source tags, the
+// strategy and the explicit orders. Source tags and the strategy steer the
+// picked values, so they are part of the problem identity; untagged
+// instances frame empty sources, the default mode its own name.
+func specKey(rk cacheKey, spec *conflictres.Spec, orders []orderJSON, mode conflictres.ResolutionMode) cacheKey {
+	return framedKey(func(b []byte) []byte {
+		b = append(b, rk[:]...)
+		b = appendField(b, "#data")
+		in := spec.Instance()
+		n := conflictres.TupleID(in.Len())
+		for id := conflictres.TupleID(0); id < n; id++ {
+			for _, v := range in.Tuple(id) {
+				at := len(b)
+				b = v.AppendQuote(binary.LittleEndian.AppendUint64(b, 0))
+				binary.LittleEndian.PutUint64(b[at:], uint64(len(b)-at-8))
+			}
+			b = appendField(b, "#row")
 		}
-		hashField(h, "#row")
-	}
-	// Source tags and the strategy both steer the picked values, so they are
-	// part of the problem identity (untagged instances hash empty sources and
-	// the default mode name — stable across requests).
-	hashField(h, "#sources")
-	for _, id := range in.TupleIDs() {
-		hashField(h, in.Source(id))
-	}
-	hashField(h, "#mode")
-	hashField(h, mode.Strategy.String())
-	hashField(h, "#orders")
-	for _, o := range orders {
-		hashField(h, o.Attr)
-		var n [16]byte
-		binary.LittleEndian.PutUint64(n[:8], uint64(o.T1))
-		binary.LittleEndian.PutUint64(n[8:], uint64(o.T2))
-		h.Write(n[:])
-	}
-	var k cacheKey
-	h.Sum(k[:0])
-	return k
+		b = appendField(b, "#sources")
+		for id := conflictres.TupleID(0); id < n; id++ {
+			b = appendField(b, in.Source(id))
+		}
+		b = appendField(b, "#mode")
+		b = appendField(b, mode.Strategy.String())
+		b = appendField(b, "#orders")
+		for _, o := range orders {
+			b = appendField(b, o.Attr)
+			b = binary.LittleEndian.AppendUint64(b, uint64(o.T1))
+			b = binary.LittleEndian.AppendUint64(b, uint64(o.T2))
+		}
+		return b
+	})
 }
 
 // liveEntityKey keys a live entity's cached state snapshot in the result
@@ -82,37 +79,33 @@ func specKey(rules *conflictres.RuleSet, spec *conflictres.Spec, orders []orderJ
 // with specKey/rulesKey hashes — the prefix is length-tagged like every
 // field). Upserts and deletes remove the key; gets repopulate it.
 func liveEntityKey(key string) cacheKey {
-	h := sha256.New()
-	hashField(h, "#live-entity")
-	hashField(h, key)
-	var k cacheKey
-	h.Sum(k[:0])
-	return k
+	return framedKey(func(b []byte) []byte {
+		return appendField(appendField(b, "#live-entity"), key)
+	})
 }
 
-// rulesKey hashes a wire rule set (schema names plus constraint texts); it
-// keys the compiled-rule-set cache so repeated requests with identical Σ/Γ
-// skip parsing.
+// rulesKey hashes a wire rule set (schema names plus constraint and trust
+// texts); it keys the compiled-rule-set cache so repeated requests with
+// identical rules skip parsing, and it seeds every specKey.
 func rulesKey(rs *ruleSetJSON) cacheKey {
-	h := sha256.New()
-	for _, n := range rs.Schema {
-		hashField(h, n)
-	}
-	hashField(h, "#sigma")
-	for _, s := range rs.Currency {
-		hashField(h, s)
-	}
-	hashField(h, "#gamma")
-	for _, s := range rs.CFDs {
-		hashField(h, s)
-	}
-	hashField(h, "#trust")
-	for _, s := range rs.Trust {
-		hashField(h, s)
-	}
-	var k cacheKey
-	h.Sum(k[:0])
-	return k
+	return framedKey(func(b []byte) []byte {
+		for _, n := range rs.Schema {
+			b = appendField(b, n)
+		}
+		b = appendField(b, "#sigma")
+		for _, s := range rs.Currency {
+			b = appendField(b, s)
+		}
+		b = appendField(b, "#gamma")
+		for _, s := range rs.CFDs {
+			b = appendField(b, s)
+		}
+		b = appendField(b, "#trust")
+		for _, s := range rs.Trust {
+			b = appendField(b, s)
+		}
+		return b
+	})
 }
 
 // cachedResult is the immutable payload stored per key. It intentionally

@@ -119,42 +119,76 @@ type errorJSON struct {
 	Message string `json:"message"`
 }
 
-// decodeValue converts one raw JSON cell into a relation value (integral
-// numbers become ints; booleans and nested structures are rejected). It is
-// the shared scalar codec of every wire surface — see relation.FromJSONScalar.
-func decodeValue(raw json.RawMessage) (conflictres.Value, error) {
-	return relation.FromJSONScalar(raw)
-}
-
 // encodeValue converts a relation value into its JSON form.
 func encodeValue(v conflictres.Value) any { return v.AsJSON() }
 
-// bindEntity turns a wire entity into a specification bound to the compiled
-// rule set, applying explicit currency orders.
-func bindEntity(rules *conflictres.RuleSet, e *entityJSON) (*conflictres.Spec, error) {
-	if len(e.Tuples) == 0 {
+// wireCell is one raw JSON cell of a batch entity line. Unlike
+// json.RawMessage it keeps no copy of its own: json.Unmarshal hands
+// UnmarshalJSON a subslice of the input it was given, and batch lines are
+// decoded from an owned copy that lives as long as the entity, so every
+// cell aliases that one copy.
+type wireCell []byte
+
+func (c *wireCell) UnmarshalJSON(b []byte) error {
+	*c = b
+	return nil
+}
+
+// batchEntityJSON is entityJSON as a batch line decodes: the same fields,
+// with cells aliasing the line.
+type batchEntityJSON struct {
+	ID      string       `json:"id,omitempty"`
+	Tuples  [][]wireCell `json:"tuples"`
+	Sources []string     `json:"sources,omitempty"`
+	Orders  []orderJSON  `json:"orders,omitempty"`
+}
+
+// decodeBatchEntity decodes one batch entity line, which it takes
+// ownership of: the entity's cells alias it. A line that does not decode
+// is decoded again as entityJSON, so its error reads exactly as it always
+// has (the message names the Go types the decoder met).
+func decodeBatchEntity(line []byte) (*batchEntityJSON, error) {
+	e := new(batchEntityJSON)
+	err := json.Unmarshal(line, e)
+	if err == nil {
+		return e, nil
+	}
+	if refErr := json.Unmarshal(line, new(entityJSON)); refErr != nil {
+		err = refErr
+	}
+	return nil, err
+}
+
+// bindEntity turns a wire entity's tuples, source tags and explicit
+// currency orders into a specification bound to the compiled rule set.
+// Cells decode through relation.FromJSONScalar, the shared scalar codec of
+// every wire surface (integral numbers become ints; booleans and nested
+// structures are rejected).
+func bindEntity[C ~[]byte](rules *conflictres.RuleSet, tuples [][]C, sources []string, orders []orderJSON) (*conflictres.Spec, error) {
+	if len(tuples) == 0 {
 		return nil, fmt.Errorf("entity has no tuples")
 	}
-	if len(e.Sources) > 0 && len(e.Sources) != len(e.Tuples) {
-		return nil, fmt.Errorf("entity has %d sources for %d tuples", len(e.Sources), len(e.Tuples))
+	if len(sources) > 0 && len(sources) != len(tuples) {
+		return nil, fmt.Errorf("entity has %d sources for %d tuples", len(sources), len(tuples))
 	}
 	sch := rules.Schema()
 	in := conflictres.NewInstance(sch)
-	for ti, row := range e.Tuples {
+	// Instance.AddSourced copies the tuple, so one scratch row serves all.
+	t := make(conflictres.Tuple, sch.Len())
+	for ti, row := range tuples {
 		if len(row) != sch.Len() {
 			return nil, fmt.Errorf("tuple %d has %d values, schema has %d", ti, len(row), sch.Len())
 		}
-		t := make(conflictres.Tuple, len(row))
 		for ai, raw := range row {
-			v, err := decodeValue(raw)
+			v, err := relation.FromJSONScalar(raw)
 			if err != nil {
 				return nil, fmt.Errorf("tuple %d, attribute %s: %w", ti, sch.Name(conflictres.Attr(ai)), err)
 			}
 			t[ai] = v
 		}
 		src := ""
-		if len(e.Sources) > 0 {
-			src = e.Sources[ti]
+		if len(sources) > 0 {
+			src = sources[ti]
 		}
 		if _, err := in.AddSourced(t, src); err != nil {
 			return nil, err
@@ -164,7 +198,7 @@ func bindEntity(rules *conflictres.RuleSet, e *entityJSON) (*conflictres.Spec, e
 	if err != nil {
 		return nil, err
 	}
-	for _, o := range e.Orders {
+	for _, o := range orders {
 		if err := spec.AddOrder(o.Attr, conflictres.TupleID(o.T1), conflictres.TupleID(o.T2)); err != nil {
 			return nil, err
 		}

@@ -41,7 +41,7 @@ func FuzzSessionCreateJSON(f *testing.F) {
 		if err != nil {
 			return
 		}
-		spec, err := bindEntity(rules, &req.Entity)
+		spec, err := bindEntity(rules, req.Entity.Tuples, req.Entity.Sources, req.Entity.Orders)
 		if err != nil {
 			return
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -78,19 +79,22 @@ func (s *Server) parseMode(w http.ResponseWriter, name string) (conflictres.Reso
 	return conflictres.ResolutionMode{Strategy: strat}, true
 }
 
-// compileRules returns the compiled rule set for a wire rule set, consulting
-// the rule cache so identical (schema, Σ, Γ) parse only once server-wide.
-func (s *Server) compileRules(rs *ruleSetJSON) (*conflictres.RuleSet, error) {
+// compileRules returns the compiled rule set for a wire rule set and its
+// rulesKey, consulting the rule cache so identical (schema, Σ, Γ, trust)
+// parse only once server-wide. The key also seeds every result-cache key
+// the request computes (specKey), so rule texts are hashed once per
+// request, not once per entity.
+func (s *Server) compileRules(rs *ruleSetJSON) (*conflictres.RuleSet, cacheKey, error) {
 	key := rulesKey(rs)
 	if v, ok := s.rules.get(key); ok {
-		return v.(*conflictres.RuleSet), nil
+		return v.(*conflictres.RuleSet), key, nil
 	}
 	rules, err := compileWireRules(rs)
 	if err != nil {
-		return nil, err
+		return nil, key, err
 	}
 	s.rules.put(key, rules)
-	return rules, nil
+	return rules, key, nil
 }
 
 // runTimed executes f under the server's per-entity deadline. The solver is
@@ -120,24 +124,17 @@ func runTimed[T any](ctx context.Context, timeout time.Duration, done func(), f 
 	}
 }
 
-// resolveEntity binds one wire entity against compiled rules and resolves it
-// through the result cache. It returns a wire result ready for stamping with
-// id/index, or an error classified by code. release (may be nil) is invoked
-// exactly once when the entity's heavy work is over — immediately for bind
-// errors and cache hits, or when the solver goroutine finishes otherwise
-// (which on timeout is later than this function's return).
-func (s *Server) resolveEntity(ctx context.Context, rules *conflictres.RuleSet, e *entityJSON, maxRounds int, mode conflictres.ResolutionMode, release func()) (*resultJSON, string, error) {
+// resolveEntity resolves one bound entity through the result cache under
+// key (see specKey). It returns a wire result ready for stamping with
+// id/index, or an error classified by code. release (may be nil) is
+// invoked exactly once when the entity's heavy work is over — immediately
+// on a cache hit, or when the solver goroutine finishes otherwise (which on
+// timeout is later than this function's return).
+func (s *Server) resolveEntity(ctx context.Context, rules *conflictres.RuleSet, key cacheKey, spec *conflictres.Spec, maxRounds int, mode conflictres.ResolutionMode, release func()) (*resultJSON, string, error) {
 	if release == nil {
 		release = func() {}
 	}
-	release = sync.OnceFunc(release)
-	spec, err := bindEntity(rules, e)
-	if err != nil {
-		release()
-		return nil, codeBadEntity, err
-	}
 	s.met.observeMode(mode.Strategy)
-	key := specKey(rules, spec, e.Orders, mode)
 	if v, ok := s.results.get(key); ok {
 		release()
 		return v.(*cachedResult).toResult(), "", nil
@@ -190,7 +187,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	rules, err := s.compileRules(&req.ruleSetJSON)
+	rules, rk, err := s.compileRules(&req.ruleSetJSON)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
 		return
@@ -199,7 +196,13 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	out, code, err := s.resolveEntity(r.Context(), rules, &req.Entity, req.MaxRounds, mode, nil)
+	e := &req.Entity
+	spec, err := bindEntity(rules, e.Tuples, e.Sources, e.Orders)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, codeBadEntity, err.Error())
+		return
+	}
+	out, code, err := s.resolveEntity(r.Context(), rules, specKey(rk, spec, e.Orders, mode), spec, req.MaxRounds, mode, nil)
 	if err != nil {
 		s.writeError(w, errStatus(code), code, err.Error())
 		return
@@ -219,7 +222,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	rules, err := s.compileRules(&req.ruleSetJSON)
+	rules, _, err := s.compileRules(&req.ruleSetJSON)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
 		return
@@ -229,7 +232,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.parseMode(w, req.Mode); !ok {
 		return
 	}
-	spec, err := bindEntity(rules, &req.Entity)
+	spec, err := bindEntity(rules, req.Entity.Tuples, req.Entity.Sources, req.Entity.Orders)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, codeBadEntity, err.Error())
 		return
@@ -300,7 +303,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, codeBadRequest, "bad header line: "+err.Error())
 		return
 	}
-	rules, err := s.compileRules(&hdr.ruleSetJSON)
+	rules, rk, err := s.compileRules(&hdr.ruleSetJSON)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
 		return
@@ -330,27 +333,36 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		i := index
 		index++
-		var e entityJSON
-		if err := json.Unmarshal(line, &e); err != nil {
+		// The entity's cells alias this one copy of the line.
+		e, err := decodeBatchEntity(bytes.Clone(line))
+		if err != nil {
 			s.met.entitiesFailed.Add(1)
 			emit(&resultJSON{Index: &i, Error: &errorJSON{Code: codeBadRequest, Message: "bad entity line: " + err.Error()}})
 			continue
 		}
 		sem <- struct{}{}
 		wg.Add(1)
-		go func(e entityJSON, i int) {
+		go func() {
 			defer wg.Done()
-			// The slot is released by resolveEntity when the solver actually
-			// finishes — on timeout that is later than the error response, so
-			// Workers bounds true solver concurrency, not just wrapper count.
-			out, code, err := s.resolveEntity(r.Context(), rules, &e, hdr.MaxRounds, mode, func() { <-sem })
+			spec, err := bindEntity(rules, e.Tuples, e.Sources, e.Orders)
+			var out *resultJSON
+			code := codeBadEntity
+			if err != nil {
+				<-sem
+			} else {
+				// The slot is released by resolveEntity when the solver
+				// actually finishes — on timeout that is later than the
+				// error response, so Workers bounds true solver
+				// concurrency, not just wrapper count.
+				out, code, err = s.resolveEntity(r.Context(), rules, specKey(rk, spec, e.Orders, mode), spec, hdr.MaxRounds, mode, func() { <-sem })
+			}
 			if err != nil {
 				s.met.entitiesFailed.Add(1)
 				out = &resultJSON{Error: &errorJSON{Code: code, Message: err.Error()}}
 			}
 			out.ID, out.Index = e.ID, &i
 			emit(out)
-		}(e, i)
+		}()
 	}
 	scanErr := sc.Err()
 	wg.Wait()

@@ -8,6 +8,7 @@ import (
 
 	"conflictres"
 	"conflictres/internal/live"
+	"conflictres/internal/relation"
 )
 
 // Live-entity error codes (see the errorJSON envelope).
@@ -101,7 +102,7 @@ func decodeRows(rules *conflictres.RuleSet, rows [][]json.RawMessage) ([]conflic
 		}
 		t := make(conflictres.Tuple, len(row))
 		for ai, raw := range row {
-			v, err := decodeValue(raw)
+			v, err := relation.FromJSONScalar(raw)
 			if err != nil {
 				return nil, fmt.Errorf("row %d, attribute %s: %w", ti, sch.Name(conflictres.Attr(ai)), err)
 			}
@@ -125,8 +126,7 @@ func liveOrders(in []orderJSON) []conflictres.LiveOrder {
 // the canonical mode name, so a mode flip on an existing entity surfaces
 // as entity_rules_changed rather than silently resolving under the
 // creation-time strategy.
-func rulesHash(rs *ruleSetJSON, mode conflictres.ResolutionMode) string {
-	rk := rulesKey(rs)
+func rulesHash(rk cacheKey, mode conflictres.ResolutionMode) string {
 	return string(rk[:]) + "\x00" + mode.Strategy.String()
 }
 
@@ -158,7 +158,7 @@ func (s *Server) handleEntityUpsert(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	rules, err := s.compileRules(&req.ruleSetJSON)
+	rules, rk, err := s.compileRules(&req.ruleSetJSON)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
 		return
@@ -186,7 +186,7 @@ func (s *Server) handleEntityUpsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	o, err := runTimed(r.Context(), s.cfg.Timeout, nil, func() registryOutcome {
-		res, err := s.liveReg.Upsert(key, rules, rulesHash(&req.ruleSetJSON, mode), live.Op{
+		res, err := s.liveReg.Upsert(key, rules, rulesHash(rk, mode), live.Op{
 			Rows: rows, Sources: req.Sources, Orders: liveOrders(req.Orders), Mode: mode, RulesWire: rulesWire,
 		})
 		return registryOutcome{res, err}

@@ -184,7 +184,7 @@ func (s *Server) replay(reg *live.Registry, kind live.Kind, rec *snapshotJSON) e
 	if err := json.Unmarshal(rec.Rules, &rsj); err != nil {
 		return fmt.Errorf("rules: %w", err)
 	}
-	rules, err := s.compileRules(&rsj)
+	rules, rk, err := s.compileRules(&rsj)
 	if err != nil {
 		return err
 	}
@@ -195,7 +195,7 @@ func (s *Server) replay(reg *live.Registry, kind live.Kind, rec *snapshotJSON) e
 	mode := conflictres.ResolutionMode{Strategy: strat}
 	var hash string // sessions carry none, as on create
 	if kind == live.Rows {
-		hash = rulesHash(&rsj, mode)
+		hash = rulesHash(rk, mode)
 	}
 	for i := range rec.Deltas {
 		op, err := decodeDelta(rules, kind, &rec.Deltas[i], i == 0)
@@ -224,7 +224,7 @@ func decodeDelta(rules *conflictres.RuleSet, kind live.Kind, d *deltaJSON, first
 		return live.Op{Rows: rows, Sources: d.Sources, Orders: liveOrders(d.Orders)}, nil
 	}
 	if first {
-		spec, err := bindEntity(rules, &entityJSON{ID: d.EntityID, Tuples: d.Rows, Sources: d.Sources, Orders: d.Orders})
+		spec, err := bindEntity(rules, d.Rows, d.Sources, d.Orders)
 		if err != nil {
 			return live.Op{}, err
 		}

@@ -189,7 +189,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	rules, err := s.compileRules(&req.ruleSetJSON)
+	rules, _, err := s.compileRules(&req.ruleSetJSON)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
 		return
@@ -198,7 +198,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	spec, err := bindEntity(rules, &req.Entity)
+	spec, err := bindEntity(rules, req.Entity.Tuples, req.Entity.Sources, req.Entity.Orders)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, codeBadEntity, err.Error())
 		return

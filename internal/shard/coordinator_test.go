@@ -185,6 +185,20 @@ func postNDJSON(t testing.TB, url string, body []byte) (*http.Response, []string
 	return resp, lines
 }
 
+// resultLine mirrors one batch result line for the tests to inspect.
+type resultLine struct {
+	ID       string                     `json:"id,omitempty"`
+	Index    *int                       `json:"index,omitempty"`
+	Rows     int                        `json:"rows,omitempty"`
+	Valid    bool                       `json:"valid"`
+	Resolved map[string]json.RawMessage `json:"resolved,omitempty"`
+	Tuple    []json.RawMessage          `json:"tuple,omitempty"`
+	Rounds   int                        `json:"rounds,omitempty"`
+	Timing   json.RawMessage            `json:"timing,omitempty"`
+	Cached   bool                       `json:"cached,omitempty"`
+	Error    *errorJSON                 `json:"error,omitempty"`
+}
+
 // collectBatch indexes batch result lines by client entity index, failing on
 // duplicates or unattributed lines.
 func collectBatch(t *testing.T, lines []string) map[int]resultLine {

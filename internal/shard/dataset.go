@@ -36,27 +36,6 @@ type dsAccount struct {
 	dropped  int64
 }
 
-// emitRaw relays one backend line verbatim (plus newline) under the merge
-// lock — dataset result values never pass through a decode/re-encode, so
-// the merged output is byte-identical per line to a single-node run.
-func (e *emitter) emitRaw(line []byte) {
-	start := time.Now()
-	e.mu.Lock()
-	e.encRaw(line)
-	e.mu.Unlock()
-	e.mergeNs(int64(time.Since(start)))
-}
-
-func (e *emitter) encRaw(line []byte) {
-	if e.out != nil {
-		e.out.Write(line)
-		e.out.Write([]byte{'\n'})
-	}
-	if e.w != nil {
-		e.w.Flush()
-	}
-}
-
 // handleDataset is POST /v1/resolve/dataset on the coordinator: the same
 // NDJSON contract as a single crserve, partitioned across the fleet. Rows
 // are routed by entity key on the ring — every entity's rows land on one
@@ -130,16 +109,13 @@ func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	em := &emitter{out: w, w: flusher, mergeNs: func(ns int64) { c.met.datasetMergeNs.Add(ns) }}
-	enc := json.NewEncoder(w)
 	acc := &dsAccount{}
 
 	if rowErr != nil {
 		// Mirror the single-node contract: an input failure aborts before
 		// any partition is dispatched — an error-truncated stream must not
 		// produce normal-looking results from part of its rows.
-		em.mu.Lock()
-		enc.Encode(&resultLine{Error: &errorJSON{Code: codeBadRequest, Message: "stream aborted: " + rowErr.Error()}})
-		em.mu.Unlock()
+		em.emit(&errorLine{Error: &errorJSON{Code: codeBadRequest, Message: "stream aborted: " + rowErr.Error()}})
 	} else {
 		var wg sync.WaitGroup
 		for idx, part := range partitions {
@@ -171,12 +147,7 @@ func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 	if wall > 0 {
 		sum.RowsPerSec = float64(rows) / wall.Seconds()
 	}
-	em.mu.Lock()
-	enc.Encode(map[string]*datasetSummaryJSON{"summary": sum})
-	em.mu.Unlock()
-	if flusher != nil {
-		flusher.Flush()
-	}
+	em.emit(map[string]*datasetSummaryJSON{"summary": sum})
 }
 
 // rowKeyFunc builds the per-row routing key extractor for the header's row
@@ -307,11 +278,10 @@ func (c *Coordinator) giveUpPartition(part [][]byte, em *emitter, acc *dsAccount
 	acc.mu.Lock()
 	acc.dropped += int64(len(part))
 	acc.mu.Unlock()
-	line, _ := json.Marshal(&resultLine{Error: &errorJSON{
+	em.emit(&errorLine{Error: &errorJSON{
 		Code:    codeNoBackend,
 		Message: fmt.Sprintf("no live backend for a partition of %d rows", len(part)),
 	}})
-	em.emitRaw(line)
 }
 
 // streamPartition performs one attempt: POST the partition to b and relay
@@ -333,8 +303,7 @@ func (c *Coordinator) streamPartition(ctx context.Context, headerLine []byte, b 
 	defer cancel()
 	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, b.url+"/v1/resolve/dataset", &body)
 	if err != nil {
-		line, _ := json.Marshal(&resultLine{Error: &errorJSON{Code: codeBadRequest, Message: err.Error()}})
-		em.emitRaw(line)
+		em.emit(&errorLine{Error: &errorJSON{Code: codeBadRequest, Message: err.Error()}})
 		acc.mu.Lock()
 		acc.dropped += int64(len(part))
 		acc.mu.Unlock()
@@ -357,8 +326,7 @@ func (c *Coordinator) streamPartition(ctx context.Context, headerLine []byte, b 
 		if json.NewDecoder(resp.Body).Decode(&env) == nil && env.Error != nil {
 			code, msg = env.Error.Code, env.Error.Message
 		}
-		line, _ := json.Marshal(&resultLine{Error: &errorJSON{Code: code, Message: msg}})
-		em.emitRaw(line)
+		em.emit(&errorLine{Error: &errorJSON{Code: code, Message: msg}})
 		acc.mu.Lock()
 		acc.dropped += int64(len(part))
 		acc.mu.Unlock()

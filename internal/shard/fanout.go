@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/bits"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -24,26 +25,109 @@ type batchJob struct {
 	tried uint64 // bitmask of backend indices already attempted
 }
 
-// emitter serializes merged result lines onto the client response and
-// accounts merge-path time. Batch merging re-encodes restamped structs via
-// enc; dataset merging relays raw backend lines via out.
+// emitter serializes result lines onto the client response and accounts
+// merge-path time. It has one write path, emitRaw: backend result lines are
+// relayed verbatim (batch lines with their leading id and index restamped,
+// dataset lines untouched), and the coordinator's own lines — errors,
+// the merged dataset summary — are marshalled and written the same way.
 type emitter struct {
 	mu      sync.Mutex
 	out     io.Writer
-	enc     *json.Encoder
 	w       http.Flusher
 	mergeNs func(int64)
 }
 
-func (e *emitter) emit(v any) {
+var newline = []byte{'\n'}
+
+// emitRaw writes one line (plus newline) under the merge lock and flushes.
+func (e *emitter) emitRaw(line []byte) {
 	start := time.Now()
 	e.mu.Lock()
-	e.enc.Encode(v)
+	e.out.Write(line)
+	e.out.Write(newline)
 	if e.w != nil {
 		e.w.Flush()
 	}
 	e.mu.Unlock()
 	e.mergeNs(int64(time.Since(start)))
+}
+
+// emit marshals one coordinator-authored line and writes it through
+// emitRaw.
+func (e *emitter) emit(v any) {
+	line, _ := json.Marshal(v)
+	e.emitRaw(line)
+}
+
+// leadingIndex reads the fields crserve writes first on every batch result
+// line — an optional "id" string, then "index" — and returns the index and
+// the rest of the line after them, which starts at the ',' or '}' that
+// follows. A line that is not valid JSON, or does not open with these
+// fields, cannot be attributed and reports false.
+func leadingIndex(line []byte) (index int, rest []byte, ok bool) {
+	if !json.Valid(line) || line[0] != '{' {
+		return 0, nil, false
+	}
+	p := line[1:]
+	if id := []byte(`"id":"`); bytes.HasPrefix(p, id) {
+		// A valid line's string ends at the first unescaped quote.
+		i := len(id)
+		for ; i < len(p) && p[i] != '"'; i++ {
+			if p[i] == '\\' {
+				i++
+			}
+		}
+		if i+1 >= len(p) || p[i+1] != ',' {
+			return 0, nil, false
+		}
+		p = p[i+2:]
+	}
+	key := []byte(`"index":`)
+	if !bytes.HasPrefix(p, key) {
+		return 0, nil, false
+	}
+	p = p[len(key):]
+	n := 0
+	for n < len(p) && n < 10 && p[n] >= '0' && p[n] <= '9' {
+		index = index*10 + int(p[n]-'0')
+		n++
+	}
+	if n == 0 || n == len(p) || (p[n] != ',' && p[n] != '}') {
+		return 0, nil, false
+	}
+	return index, p[n:], true
+}
+
+// restamp renders a relayed batch line into b: the coordinator's id for the
+// job (left out when empty, as crserve leaves it out) and the client's
+// index, then the backend line's remaining fields verbatim. The id is the
+// coordinator's own even where the backend wrote none — a backend answers
+// a line it could not decode without one.
+func restamp(b []byte, j *batchJob, rest []byte) []byte {
+	b = append(b, '{')
+	if j.id != "" {
+		b = append(b, `"id":`...)
+		b = appendJSONString(b, j.id)
+		b = append(b, ',')
+	}
+	b = append(b, `"index":`...)
+	b = strconv.AppendInt(b, int64(j.index), 10)
+	return append(b, rest...)
+}
+
+// appendJSONString appends s as encoding/json writes a string: quoted,
+// with HTML-sensitive and non-ASCII text escaped by json.Marshal itself;
+// plain printable ASCII is its own encoding and appends without it.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // handleBatch is POST /v1/resolve/batch on the coordinator: the same NDJSON
@@ -88,7 +172,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	em := &emitter{enc: json.NewEncoder(gw), w: gw, mergeNs: func(ns int64) { c.met.batchMergeNs.Add(ns) }}
+	em := &emitter{out: gw, w: gw, mergeNs: func(ns int64) { c.met.batchMergeNs.Add(ns) }}
 
 	// One pipelining semaphore per backend: a slot is held for the full
 	// life of a sub-batch POST, so at most Pipeline requests are in flight
@@ -119,7 +203,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		index++
 		var ek entityKey
 		if err := json.Unmarshal(line, &ek); err != nil {
-			em.emit(&resultLine{Index: &i, Error: &errorJSON{Code: codeBadRequest, Message: "bad entity line: " + err.Error()}})
+			em.emit(&errorLine{Index: &i, Error: &errorJSON{Code: codeBadRequest, Message: "bad entity line: " + err.Error()}})
 			continue
 		}
 		key := ek.ID
@@ -131,7 +215,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		b, bIdx := c.route(key, 0)
 		if b == nil {
 			c.met.noBackend.Add(1)
-			em.emit(&resultLine{ID: ek.ID, Index: &i, Error: &errorJSON{Code: codeNoBackend, Message: "no live backend for entity"}})
+			em.emit(&errorLine{ID: ek.ID, Index: &i, Error: &errorJSON{Code: codeNoBackend, Message: "no live backend for entity"}})
 			continue
 		}
 		pending[bIdx] = append(pending[bIdx], batchJob{
@@ -151,7 +235,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 	if scanErr != nil {
 		i := index
-		em.emit(&resultLine{Index: &i, Error: &errorJSON{Code: codeBadRequest, Message: "stream aborted: " + scanErr.Error()}})
+		em.emit(&errorLine{Index: &i, Error: &errorJSON{Code: codeBadRequest, Message: "stream aborted: " + scanErr.Error()}})
 	}
 }
 
@@ -166,8 +250,12 @@ func (c *Coordinator) sendSubBatch(ctx context.Context, headerLine []byte, bIdx 
 	b := c.backends[bIdx]
 	release := func() { <-sems[bIdx] }
 
+	size := len(headerLine) + 1
+	for _, j := range jobs {
+		size += len(j.line) + 1
+	}
 	var body bytes.Buffer
-	body.Grow(len(headerLine) + 1)
+	body.Grow(size)
 	body.Write(headerLine)
 	body.WriteByte('\n')
 	for _, j := range jobs {
@@ -214,25 +302,25 @@ func (c *Coordinator) sendSubBatch(ctx context.Context, headerLine []byte, bIdx 
 	rs := bufio.NewScanner(resp.Body)
 	bufSize := 64 << 10
 	rs.Buffer(make([]byte, bufSize), int(c.cfg.MaxBodyBytes))
+	var out []byte
 	for rs.Scan() {
 		line := rs.Bytes()
 		if len(line) == 0 {
 			continue
 		}
 		start := time.Now()
-		var res resultLine
-		if err := json.Unmarshal(line, &res); err != nil || res.Index == nil || *res.Index < 0 || *res.Index >= len(jobs) {
+		at, rest, ok := leadingIndex(line)
+		if !ok || at >= len(jobs) {
 			// An unattributable line: nothing to restamp it onto. Skip it;
 			// its entity will be rerouted as unanswered below if the stream
 			// also failed, or error-reported on clean end.
 			c.met.batchMergeNs.Add(int64(time.Since(start)))
 			continue
 		}
-		j := jobs[*res.Index]
-		seen[*res.Index] = true
-		res.Index, res.ID = &j.index, j.id
+		seen[at] = true
+		out = restamp(out[:0], &jobs[at], rest)
 		c.met.batchMergeNs.Add(int64(time.Since(start)))
-		em.emit(&res)
+		em.emitRaw(out)
 	}
 	release()
 
@@ -261,7 +349,7 @@ func (c *Coordinator) sendSubBatch(ctx context.Context, headerLine []byte, bIdx 
 func (e *emitter) emitJobErrors(jobs []batchJob, code, msg string) {
 	for _, j := range jobs {
 		i := j.index
-		e.emit(&resultLine{ID: j.id, Index: &i, Error: &errorJSON{Code: code, Message: msg}})
+		e.emit(&errorLine{ID: j.id, Index: &i, Error: &errorJSON{Code: code, Message: msg}})
 	}
 }
 
@@ -276,7 +364,7 @@ func (c *Coordinator) rerouteJobs(ctx context.Context, headerLine []byte, failed
 		if nb == nil {
 			c.met.noBackend.Add(1)
 			i := j.index
-			em.emit(&resultLine{ID: j.id, Index: &i, Error: &errorJSON{Code: codeNoBackend, Message: "no live backend for entity after retries"}})
+			em.emit(&errorLine{ID: j.id, Index: &i, Error: &errorJSON{Code: codeNoBackend, Message: "no live backend for entity after retries"}})
 			continue
 		}
 		nb.retries.Add(1)

@@ -47,19 +47,13 @@ type errorJSON struct {
 	Message string `json:"message"`
 }
 
-// resultLine mirrors one batch result line closely enough to restamp its
-// index and id; everything else stays raw and re-encodes unchanged.
-type resultLine struct {
-	ID       string                     `json:"id,omitempty"`
-	Index    *int                       `json:"index,omitempty"`
-	Rows     int                        `json:"rows,omitempty"`
-	Valid    bool                       `json:"valid"`
-	Resolved map[string]json.RawMessage `json:"resolved,omitempty"`
-	Tuple    []json.RawMessage          `json:"tuple,omitempty"`
-	Rounds   int                        `json:"rounds,omitempty"`
-	Timing   json.RawMessage            `json:"timing,omitempty"`
-	Cached   bool                       `json:"cached,omitempty"`
-	Error    *errorJSON                 `json:"error,omitempty"`
+// errorLine is a result line the coordinator writes itself: an in-band
+// error, in crserve's field order (id and index first, then valid).
+type errorLine struct {
+	ID    string     `json:"id,omitempty"`
+	Index *int       `json:"index,omitempty"`
+	Valid bool       `json:"valid"`
+	Error *errorJSON `json:"error,omitempty"`
 }
 
 // dsLine classifies one dataset response line: result lines carry an id and

@@ -104,7 +104,7 @@ func (rs *RuleSet) NewLiveSessionMode(rows []Tuple, sources []string, orders []L
 	if err != nil {
 		return nil, err
 	}
-	m := model.NewSpec(model.NewTemporal(in), rs.sigma, rs.gamma)
+	m := model.NewCompiledSpec(model.NewTemporal(in), rs.sigma, rs.gamma)
 	m.Trust = rs.trust
 	m.TI.Edges = edges
 	if err := m.Validate(); err != nil {
