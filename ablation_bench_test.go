@@ -1,9 +1,9 @@
 package conflictres
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
-// projection-deduplicating constraint instantiation versus the paper's
-// literal tuple-pair loop, the full versus sparse transitivity encoding,
-// and the incremental (assumption-based) MaxSAT checks behind Suggest.
+// projection-deduplicating constraint instantiation, the full versus
+// sparse transitivity encoding, and the incremental (assumption-based)
+// MaxSAT checks behind Suggest.
 
 import (
 	"testing"
@@ -18,16 +18,6 @@ func BenchmarkAblationEncodeProjection(b *testing.B) {
 	benchSetup()
 	for i := 0; i < b.N; i++ {
 		encode.Build(benchBigPer.Spec, encode.Options{})
-	}
-}
-
-// BenchmarkAblationEncodeNaivePairs measures the literal O(|Σ||It|²)
-// instantiation the paper describes. Identical output, much more work on
-// large entities — the gap justifies the projection optimization.
-func BenchmarkAblationEncodeNaivePairs(b *testing.B) {
-	benchSetup()
-	for i := 0; i < b.N; i++ {
-		encode.Build(benchBigPer.Spec, encode.Options{NoProjectionDedup: true})
 	}
 }
 
@@ -55,19 +45,12 @@ func BenchmarkAblationTransitivitySparse(b *testing.B) {
 	}
 }
 
-// TestAblationEncodingsAgree pins the ablation correctness claims: naive
-// pair instantiation produces the same instance set, and both transitivity
-// modes agree on validity and on deduced true values for the benchmark
-// entities.
+// TestAblationEncodingsAgree pins the ablation correctness claim: both
+// transitivity modes agree on validity and on deduced true values for the
+// benchmark entities.
 func TestAblationEncodingsAgree(t *testing.T) {
 	benchSetup()
 	for _, e := range benchNBA.Entities[:5] {
-		fast := encode.Build(e.Spec, encode.Options{})
-		slow := encode.Build(e.Spec, encode.Options{NoProjectionDedup: true})
-		if len(fast.Omega) != len(slow.Omega) {
-			t.Fatalf("instance counts differ: %d vs %d", len(fast.Omega), len(slow.Omega))
-		}
-
 		full := encode.Build(e.Spec, encode.Options{TransitivityCap: 1 << 20})
 		sparse := encode.Build(e.Spec, encode.Options{TransitivityCap: 1})
 		vFull, _ := core.IsValid(full)

@@ -85,11 +85,6 @@ type Options struct {
 	// the attribute's order group covers every active value; above it the
 	// sparse encoding is used. Zero means the default (50).
 	TransitivityCap int
-	// NoProjectionDedup disables grouping tuples by constraint projection
-	// and instantiates over raw tuple pairs, the literal O(|Σ||It|²)
-	// reading of the paper. Identical output (instances are deduplicated
-	// either way); exists for the ablation benchmarks.
-	NoProjectionDedup bool
 }
 
 func (o Options) cap() int {
@@ -296,11 +291,7 @@ func (e *Encoding) init(spec *model.Spec, refAttrs [][]relation.Attr) {
 	}
 	e.buildDomains()
 	e.emitOrderFacts()
-	if e.opts.NoProjectionDedup {
-		e.emitCurrencyInstancesNaive()
-	} else {
-		e.emitCurrencyInstances()
-	}
+	e.emitCurrencyInstances()
 	e.emitCFDInstances()
 	e.emitAxioms(e.opts.cap())
 }
@@ -383,22 +374,6 @@ func (e *Encoding) resetStorage(n int) {
 			e.factEdges[a] = make(map[[2]int]bool)
 		} else {
 			clear(e.factEdges[a])
-		}
-	}
-}
-
-// emitCurrencyInstancesNaive instantiates over all ordered tuple pairs — the
-// paper's literal algorithm; kept for ablation benchmarking.
-func (e *Encoding) emitCurrencyInstancesNaive() {
-	n := e.Spec.TI.Inst.Len()
-	for ci, c := range e.Spec.Sigma {
-		for t1 := 0; t1 < n; t1++ {
-			for t2 := 0; t2 < n; t2++ {
-				if t1 == t2 {
-					continue
-				}
-				e.instantiatePair(ci, c, relation.TupleID(t1), relation.TupleID(t2))
-			}
 		}
 	}
 }
