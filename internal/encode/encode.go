@@ -225,7 +225,9 @@ type Encoding struct {
 	seenSigma map[string]*uint32
 	seenGamma map[string]*uint32
 	seenEpoch uint32
-	refAttrs  [][]relation.Attr // per Σ constraint; shared with the skeleton
+
+	ix   *ruleIndex // the rule set's index; shared with the skeleton
+	live liveState  // which indexed members the active values make live
 
 	// tix[t][a] is the domain index of tuple t's value in attribute a, so
 	// instantiation never re-hashes values. Rows are append-only and stay
@@ -270,25 +272,17 @@ const seenKeyCap = 1 << 17
 // unsatisfiable Φ(Se), which is precisely what IsValid detects.
 func Build(spec *model.Spec, opts Options) *Encoding {
 	e := &Encoding{opts: opts}
-	e.init(spec, nil)
+	e.init(spec, newRuleIndex(spec.Sigma, spec.Gamma))
 	return e
 }
 
-// init compiles spec into e, reusing whatever storage e already holds.
-// refAttrs, when non-nil, is the skeleton's precomputed per-constraint
-// attribute list (must match spec.Sigma element-wise).
-func (e *Encoding) init(spec *model.Spec, refAttrs [][]relation.Attr) {
+// init compiles spec into e, reusing whatever storage e already holds. ix
+// is the index of spec's rule set.
+func (e *Encoding) init(spec *model.Spec, ix *ruleIndex) {
 	e.Spec = spec
 	e.Schema = spec.Schema()
+	e.ix = ix
 	e.resetStorage(e.Schema.Len())
-	if refAttrs != nil {
-		e.refAttrs = refAttrs
-	} else {
-		e.refAttrs = e.refAttrs[:0]
-		for _, c := range spec.Sigma {
-			e.refAttrs = append(e.refAttrs, refAttrsOf(c))
-		}
-	}
 	e.buildDomains()
 	e.emitOrderFacts()
 	e.emitCurrencyInstances()
@@ -538,9 +532,14 @@ func (e *Encoding) buildDomains() {
 		}
 		e.tix = append(e.tix, e.tixData[start:len(e.tixData):len(e.tixData)])
 	}
+	e.live.reset(e.ix)
 	for a := 0; a < n; a++ {
 		e.adomSz[a] = len(e.doms[a])
+		for _, v := range e.doms[a] {
+			e.live.activate(e.ix, relation.Attr(a), v)
+		}
 	}
+	slices.Sort(e.live.sigmaLive)
 	// CFD constants extend the domains past the active-domain prefix.
 	for _, cfd := range e.Spec.Gamma {
 		for i, a := range cfd.X {
@@ -706,40 +705,18 @@ func (e *Encoding) emitEdgeFacts() {
 	e.edgesDone = len(edges)
 }
 
-// refAttrsOf returns the attributes a currency constraint reads or writes.
-func refAttrsOf(c constraint.Currency) []relation.Attr {
-	set := map[relation.Attr]bool{c.Target: true}
-	for _, p := range c.Body {
-		switch p.Kind {
-		case constraint.PredCurrency:
-			set[p.Attr] = true
-		case constraint.PredCompare:
-			if !p.L.Const {
-				set[p.L.Attr] = true
-			}
-			if !p.R.Const {
-				set[p.R.Attr] = true
-			}
-		}
-	}
-	out := make([]relation.Attr, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// emitCurrencyInstances instantiates each currency constraint over all tuple
-// pairs (Section V-A (2)), grouping tuples by their projection onto the
-// referenced attributes: two tuples with equal projections induce identical
-// instance constraints, so one representative per projection suffices.
-// Projection keys are built from domain indices (no value hashing), and the
-// group index is reused across constraints and builds.
+// emitCurrencyInstances instantiates each live currency constraint over all
+// tuple pairs (Section V-A (2)), grouping tuples by their projection onto
+// the referenced attributes: two tuples with equal projections induce
+// identical instance constraints, so one representative per projection
+// suffices. Projection keys are built from domain indices (no value
+// hashing), and the group index is reused across constraints and builds.
+// A constraint the index leaves dead has no non-vacuous instance.
 func (e *Encoding) emitCurrencyInstances() {
 	nT := e.Spec.TI.Inst.Len()
-	for ci, c := range e.Spec.Sigma {
-		attrs := e.refAttrs[ci]
+	for _, ci := range e.live.sigmaLive {
+		c := e.Spec.Sigma[ci]
+		attrs := e.ix.refAttrs[ci]
 		if e.projIdx == nil {
 			e.projIdx = make(map[string]int)
 		} else {
@@ -768,7 +745,7 @@ func (e *Encoding) emitCurrencyInstances() {
 				if i == j && cnt[i] < 2 {
 					continue // needs two distinct tuples sharing the projection
 				}
-				e.instantiatePair(ci, c, relation.TupleID(reps[i]), relation.TupleID(reps[j]))
+				e.instantiatePair(int(ci), c, relation.TupleID(reps[i]), relation.TupleID(reps[j]))
 			}
 		}
 	}
@@ -1108,8 +1085,10 @@ func (e *Encoding) extendTuples(k int) bool {
 	}
 
 	// Mutation phase: register each appended tuple's values in the domains
-	// and give it a domain-index row.
+	// and give it a domain-index row. Values joining the active domain may
+	// make indexed currency constraints live.
 	e.joinSets = resetSets(e.joinSets, n)
+	sigmaGrew := false
 	for t := first; t < nT; t++ {
 		to := in.Tuple(relation.TupleID(t))
 		rowStart := len(e.tixData)
@@ -1120,9 +1099,15 @@ func (e *Encoding) extendTuples(k int) bool {
 			if !e.InADom(attr, idx) {
 				e.joinADom(attr, idx)
 				e.joinSets[a].add(idx)
+				if e.live.activate(e.ix, attr, to[a]) {
+					sigmaGrew = true
+				}
 			}
 		}
 		e.tix = append(e.tix, e.tixData[rowStart:len(e.tixData):len(e.tixData)])
+	}
+	if sigmaGrew {
+		slices.Sort(e.live.sigmaLive)
 	}
 
 	omegaMark := len(e.Omega)
@@ -1161,13 +1146,15 @@ func (e *Encoding) extendTuples(k int) bool {
 	// Currency instances pairing each appended tuple with every tuple
 	// before it (both directions) — covering old×new and new×new pairs.
 	// Self-pairs and pairs among pre-existing tuples are already covered
-	// (or vacuous).
-	for ci, c := range e.Spec.Sigma {
+	// (or vacuous): a constraint the delta made live was dead before it,
+	// so no pre-existing pair fires it.
+	for _, ci := range e.live.sigmaLive {
+		c := e.Spec.Sigma[ci]
 		for nt := first; nt < nT; nt++ {
 			ntID := relation.TupleID(nt)
 			for t := 0; t < nt; t++ {
-				e.instantiatePair(ci, c, relation.TupleID(t), ntID)
-				e.instantiatePair(ci, c, ntID, relation.TupleID(t))
+				e.instantiatePair(int(ci), c, relation.TupleID(t), ntID)
+				e.instantiatePair(int(ci), c, ntID, relation.TupleID(t))
 			}
 		}
 	}

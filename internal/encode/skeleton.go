@@ -5,13 +5,13 @@ import (
 
 	"conflictres/internal/constraint"
 	"conflictres/internal/model"
-	"conflictres/internal/relation"
 )
 
 // Skeleton is the compiled, entity-independent part of the encoding for one
-// rule set (Σ, Γ): the per-constraint referenced-attribute sets and every
-// arena, dictionary and scratch table one Encoding needs. Build instantiates
-// the skeleton against one entity's tuples, reusing the retained encoding's
+// rule set (Σ, Γ): the rule-set index (the members each constant can make
+// live, and each constraint's referenced attributes) and every arena,
+// dictionary and scratch table one Encoding needs. Build instantiates the
+// skeleton against one entity's tuples, reusing the retained encoding's
 // storage — interned value dictionaries, CNF clause arena, instance-body
 // arena, dedup tables — instead of re-deriving and re-allocating them per
 // entity.
@@ -22,10 +22,10 @@ import (
 // resolve pipelines in the core package are the intended owner — one
 // skeleton per pipeline, one pipeline per worker.
 type Skeleton struct {
-	sigma    []constraint.Currency
-	gamma    []constraint.CFD
-	opts     Options
-	refAttrs [][]relation.Attr
+	sigma []constraint.Currency
+	gamma []constraint.CFD
+	opts  Options
+	ix    *ruleIndex
 
 	enc    *Encoding
 	builds int
@@ -42,12 +42,7 @@ type Skeleton struct {
 // (they are immutable values shared with the specifications the skeleton
 // will build).
 func NewSkeleton(sigma []constraint.Currency, gamma []constraint.CFD, opts Options) *Skeleton {
-	k := &Skeleton{sigma: sigma, gamma: gamma, opts: opts}
-	k.refAttrs = make([][]relation.Attr, len(sigma))
-	for i, c := range sigma {
-		k.refAttrs[i] = refAttrsOf(c)
-	}
-	return k
+	return &Skeleton{sigma: sigma, gamma: gamma, opts: opts, ix: newRuleIndex(sigma, gamma)}
 }
 
 // Build compiles spec against the skeleton, reusing the retained encoding's
@@ -65,7 +60,7 @@ func (k *Skeleton) Build(spec *model.Spec) *Encoding {
 	} else {
 		k.reuses++
 	}
-	k.enc.init(spec, k.refAttrs)
+	k.enc.init(spec, k.ix)
 	return k.enc
 }
 
