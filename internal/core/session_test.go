@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"conflictres/internal/constraint"
 	"conflictres/internal/encode"
 	"conflictres/internal/exact"
 	"conflictres/internal/fixtures"
@@ -236,6 +237,24 @@ func randomInteractiveCase(rng *rand.Rand) (*model.Spec, relation.Tuple) {
 	return spec, truth
 }
 
+// addLiveCFDs draws up to n single-attribute CFDs whose pattern and head
+// are active values of spec's entity.
+func addLiveCFDs(rng *rand.Rand, spec *model.Spec, n int) {
+	in := spec.TI.Inst
+	attrs := spec.Schema().Len()
+	for ; n > 0; n-- {
+		x, b := relation.Attr(rng.Intn(attrs)), relation.Attr(rng.Intn(attrs))
+		if x == b {
+			continue
+		}
+		dx, db := in.ActiveDomain(x), in.ActiveDomain(b)
+		spec.Gamma = append(spec.Gamma, constraint.CFD{
+			X: []relation.Attr{x}, PX: []relation.Value{dx[rng.Intn(len(dx))]},
+			B: b, VB: db[rng.Intn(len(db))],
+		})
+	}
+}
+
 // TestSessionResolveInteractiveRandom compares the two engines across
 // randomized interactive runs: validity must agree, and wherever both
 // resolve an attribute the values must match.
@@ -307,21 +326,30 @@ func (e *fixpointCheckEngine) deduce(bool) *OrderSet {
 // TestSessionResolveInteractiveRandom's generator: after every round the
 // session's deduction equals a fresh solver's, including after searches
 // that learnt units — which the run must exercise at least once.
+//
+// The generator's CFD patterns are drawn from a value pool, so most are
+// dead for the entity and the rule-set index drops them; the searches
+// left are too easy to learn a unit. A second pass adds two CFDs whose
+// pattern and head are active values of the entity, which brings the
+// learnt units back.
 func TestSessionDeduceOrderIsFreshFixpoint(t *testing.T) {
-	rng := rand.New(rand.NewSource(24680))
 	rounds, reloads := 0, 0
-	for iter := 0; iter < 120; iter++ {
-		spec, truth := randomInteractiveCase(rng)
-		if spec.Validate() != nil {
-			continue
+	for pass, liveCFDs := range []int{0, 2} {
+		rng := rand.New(rand.NewSource(24680 + int64(pass)))
+		for iter := 0; iter < 120; iter++ {
+			spec, truth := randomInteractiveCase(rng)
+			if spec.Validate() != nil {
+				continue
+			}
+			addLiveCFDs(rng, spec, liveCFDs)
+			eng := &fixpointCheckEngine{sessionEngine: sessionEngine{s: NewSession(spec, encode.Options{})}, t: t, iter: iter}
+			oracle := &SimulatedUser{Truth: truth, MaxPerRound: 1}
+			if _, err := resolveLoop(eng, spec.Schema(), oracle, Options{MaxRounds: 4}); err != nil {
+				t.Fatalf("pass %d iter %d: %v", pass, iter, err)
+			}
+			rounds += eng.rounds
+			reloads += eng.reloads
 		}
-		eng := &fixpointCheckEngine{sessionEngine: sessionEngine{s: NewSession(spec, encode.Options{})}, t: t, iter: iter}
-		oracle := &SimulatedUser{Truth: truth, MaxPerRound: 1}
-		if _, err := resolveLoop(eng, spec.Schema(), oracle, Options{MaxRounds: 4}); err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		rounds += eng.rounds
-		reloads += eng.reloads
 	}
 	if reloads == 0 {
 		t.Fatalf("no deduction followed a learnt unit in %d rounds; the reload branch went untested", rounds)

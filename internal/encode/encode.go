@@ -259,6 +259,7 @@ type Encoding struct {
 	condVals  []valSet // per attribute: values of conditional clauses
 	setBuf    []bool   // backs active and condVals at Build
 	joinSets  []valSet // extendTuples: values joining the active domain
+	newGamma  []int32  // extendTuples: CFDs the delta made live, ascending
 	newSets   []valSet // extendTuples: values joining the axioms
 }
 
@@ -540,19 +541,28 @@ func (e *Encoding) buildDomains() {
 		}
 	}
 	slices.Sort(e.live.sigmaLive)
-	// CFD constants extend the domains past the active-domain prefix.
-	for _, cfd := range e.Spec.Gamma {
-		for i, a := range cfd.X {
-			e.addDomValue(a, cfd.PX[i])
-		}
-		e.addDomValue(cfd.B, cfd.VB)
-	}
+	slices.Sort(e.live.gammaLive)
+	// The constants of live CFDs extend the domains past the active-domain
+	// prefix.
+	e.addCFDConstants(e.live.gammaLive)
 	for a := 0; a < n; a++ {
 		idx := e.adomIdx[a][:0]
 		for i := 0; i < e.adomSz[a]; i++ {
 			idx = append(idx, i)
 		}
 		e.adomIdx[a] = idx
+	}
+}
+
+// addCFDConstants adds the pattern and head constants of the given CFDs to
+// the domains, in the order listed.
+func (e *Encoding) addCFDConstants(gis []int32) {
+	for _, gi := range gis {
+		cfd := e.Spec.Gamma[gi]
+		for i, a := range cfd.X {
+			e.addDomValue(a, cfd.PX[i])
+		}
+		e.addDomValue(cfd.B, cfd.VB)
 	}
 }
 
@@ -801,15 +811,21 @@ func (e *Encoding) instantiatePair(ci int, c constraint.Currency, t1, t2 relatio
 		Source{SrcCurrency, ci})
 }
 
-// emitCFDInstances encodes each constant CFD (Section V-A (3)).
+// emitCFDInstances encodes each live constant CFD (Section V-A (3)).
 func (e *Encoding) emitCFDInstances() {
-	for gi, cfd := range e.Spec.Gamma {
-		bi, _ := e.ValueIndex(cfd.B, cfd.VB)
-		omegaX := e.cfdBody(cfd)
-		for _, i := range e.adomIdx[cfd.B] {
-			if i == bi {
-				continue
-			}
+	for _, gi := range e.live.gammaLive {
+		e.emitCFD(int(gi), e.adomIdx[e.Spec.Gamma[gi].B])
+	}
+}
+
+// emitCFD emits CFD gi's instances ωX → b ≺v tp[B] for the heads b listed
+// in bs (domain indices of B).
+func (e *Encoding) emitCFD(gi int, bs []int) {
+	cfd := e.Spec.Gamma[gi]
+	bi, _ := e.ValueIndex(cfd.B, cfd.VB)
+	omegaX := e.cfdBody(cfd)
+	for _, i := range bs {
+		if i != bi {
 			e.addInstance(omegaX, OrderLit{cfd.B, i, bi}, Source{SrcCFD, gi})
 		}
 	}
@@ -1055,13 +1071,13 @@ func (e *Encoding) extendTuples(k int) bool {
 	first := nT - k
 	n := e.Schema.Len()
 
-	// Pre-check (pure): a non-null value joining adom(a) weakens a CFD's ωX
-	// when a ∈ X and the value differs from that CFD's pattern on a —
-	// already-emitted clauses would need an extra body conjunct, which
-	// clause addition cannot express. New nulls join adom too, but the
-	// conjunct they add to ωX is null ≺ pattern, a null-lowest fact we emit
-	// as a unit below, so the stronger already-emitted clause stays
-	// equivalent in context.
+	// Pre-check (pure): a non-null value joining adom(a) weakens a live
+	// CFD's ωX when a ∈ X and the value differs from that CFD's pattern on
+	// a — already-emitted clauses would need an extra body conjunct, which
+	// clause addition cannot express. A dead CFD's ωX was never emitted, so
+	// it cannot weaken. New nulls join adom too, but the conjunct they add
+	// to ωX is null ≺ pattern, a null-lowest fact we emit as a unit below,
+	// so the stronger already-emitted clause stays equivalent in context.
 	for t := first; t < nT; t++ {
 		to := in.Tuple(relation.TupleID(t))
 		for a := 0; a < n; a++ {
@@ -1074,7 +1090,8 @@ func (e *Encoding) extendTuples(k int) bool {
 			if known && e.InADom(attr, idx) {
 				continue
 			}
-			for _, cfd := range e.Spec.Gamma {
+			for _, gi := range e.live.gammaLive {
+				cfd := e.Spec.Gamma[gi]
 				for xi, xa := range cfd.X {
 					if xa == attr && !relation.Equal(v, cfd.PX[xi]) {
 						return false
@@ -1086,9 +1103,10 @@ func (e *Encoding) extendTuples(k int) bool {
 
 	// Mutation phase: register each appended tuple's values in the domains
 	// and give it a domain-index row. Values joining the active domain may
-	// make indexed currency constraints live.
+	// make indexed currency constraints and CFDs live.
 	e.joinSets = resetSets(e.joinSets, n)
 	sigmaGrew := false
+	gammaMark := len(e.live.gammaLive)
 	for t := first; t < nT; t++ {
 		to := in.Tuple(relation.TupleID(t))
 		rowStart := len(e.tixData)
@@ -1109,6 +1127,13 @@ func (e *Encoding) extendTuples(k int) bool {
 	if sigmaGrew {
 		slices.Sort(e.live.sigmaLive)
 	}
+	// CFDs the delta made live add their constants, in Γ order; below they
+	// emit their full instance sets.
+	newGamma := e.live.gammaLive[gammaMark:]
+	slices.Sort(newGamma)
+	e.addCFDConstants(newGamma)
+	e.newGamma = append(e.newGamma[:0], newGamma...)
+	slices.Sort(e.live.gammaLive)
 
 	omegaMark := len(e.Omega)
 
@@ -1159,25 +1184,30 @@ func (e *Encoding) extendTuples(k int) bool {
 		}
 	}
 
-	// CFD instances whose head ranges over newly joined values of B. ωX uses
-	// the current active domains; the pre-check guarantees they only grew by
-	// pattern-equal values, so existing instances' bodies are unaffected.
-	for gi, cfd := range e.Spec.Gamma {
-		if e.joinSets[cfd.B].n == 0 {
-			continue
-		}
-		bi, _ := e.ValueIndex(cfd.B, cfd.VB)
-		omegaX := e.cfdBody(cfd)
-		e.idxBuf = e.joinSets[cfd.B].appendTo(e.idxBuf[:0])
-		for _, i := range e.idxBuf {
-			if i == bi {
-				continue
-			}
-			e.addInstance(omegaX, OrderLit{cfd.B, i, bi}, Source{SrcCFD, gi})
+	// CFD instances: a CFD the delta made live emits its full instance set;
+	// a live one emits those whose head ranges over newly joined values of
+	// B. ωX uses the current active domains; the pre-check guarantees they
+	// only grew by pattern-equal values, so existing instances' bodies are
+	// unaffected.
+	for _, gi := range e.live.gammaLive {
+		b := e.Spec.Gamma[gi].B
+		switch {
+		case slices.Contains(e.newGamma, gi):
+			e.emitCFD(int(gi), e.adomIdx[b])
+		case e.joinSets[b].n > 0:
+			e.idxBuf = e.joinSets[b].appendTo(e.idxBuf[:0])
+			e.emitCFD(int(gi), e.idxBuf)
 		}
 	}
 
-	// Values first mentioned by the delta instances need axiom coverage.
+	return e.coverNewValues(omegaMark)
+}
+
+// coverNewValues extends the axioms to the values first mentioned by the
+// instances Omega[omegaMark:]. It returns false, emitting nothing, when an
+// attribute would cross the transitivity cap into the sparse regime.
+func (e *Encoding) coverNewValues(omegaMark int) bool {
+	n := e.Schema.Len()
 	newActive := resetSets(e.newSets, n)
 	e.newSets = newActive
 	markNew := func(l OrderLit) {

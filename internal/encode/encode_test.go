@@ -12,24 +12,48 @@ import (
 	"conflictres/internal/sat"
 )
 
+// TestDomainsIncludeCFDConstants pins which CFD constants extend the
+// domains: those of live CFDs, whose X constants are active values or
+// heads of live CFDs, and no others.
 func TestDomainsIncludeCFDConstants(t *testing.T) {
 	spec := fixtures.GeorgeSpec()
-	enc := Build(spec, Options{})
 	sch := spec.Schema()
-	ac := sch.MustAttr("AC")
-	// adom(E2.AC) = {401, 212, 312}; ψ1 adds 213.
+	// ψ3 is live through ψ2's AC constant 212 and adds its head 99999 to
+	// dom(zip); ψ4 is live through that head; ψ5's zip constant is neither
+	// active nor a live head.
+	spec.Gamma = append(spec.Gamma,
+		constraint.MustCFD(sch, `AC = "212" => zip = "99999"`),      // ψ3
+		constraint.MustCFD(sch, `zip = "99999" => county = "Gone"`), // ψ4
+		constraint.MustCFD(sch, `zip = "00000" => county = "Nope"`), // ψ5
+	)
+	enc := Build(spec, Options{})
+	ac, city, zip, county := sch.MustAttr("AC"), sch.MustAttr("city"), sch.MustAttr("zip"), sch.MustAttr("county")
+	// adom(E2.AC) = {401, 212, 312}: ψ2's 212 is active, ψ1's 213 is not.
 	if got := enc.ADomSize(ac); got != 3 {
 		t.Fatalf("|adom(AC)| = %d, want 3", got)
 	}
-	if got := len(enc.Dom(ac)); got != 4 {
-		t.Fatalf("|dom(AC)| = %d, want 4 (CFD constant 213)", got)
+	if got := len(enc.Dom(ac)); got != 3 {
+		t.Fatalf("|dom(AC)| = %d, want 3 (dead ψ1 adds no constant)", got)
 	}
-	if _, ok := enc.ValueIndex(ac, relation.String("213")); !ok {
-		t.Fatal("213 must be in dom(AC)")
+	in := []struct {
+		a    relation.Attr
+		v    string
+		want bool
+	}{
+		{ac, "213", false}, {city, "LA", false}, // ψ1: dead
+		{ac, "212", true}, {city, "NY", true}, // ψ2: live, constants active
+		{zip, "99999", true},    // ψ3: live, head joins dom(zip)
+		{county, "Gone", true},  // ψ4: live through ψ3's head
+		{zip, "00000", false},   // ψ5: dead
+		{county, "Nope", false}, // ψ5: dead
 	}
-	city := sch.MustAttr("city")
-	if _, ok := enc.ValueIndex(city, relation.String("LA")); !ok {
-		t.Fatal("LA must be in dom(city) via ψ1")
+	for _, c := range in {
+		if _, ok := enc.ValueIndex(c.a, relation.String(c.v)); ok != c.want {
+			t.Errorf("%s in dom(%s) = %v, want %v", c.v, sch.Name(c.a), ok, c.want)
+		}
+	}
+	if got, want := len(enc.Dom(zip)), enc.ADomSize(zip)+1; got != want {
+		t.Errorf("|dom(zip)| = %d, want %d", got, want)
 	}
 }
 

@@ -24,10 +24,17 @@ type constKey struct {
 // constraint without such conjuncts is always live, and one comparing with
 // a null constant is never live (missing values never fire constraints).
 //
-// Member lists are kept in compressed rows: the members of key k are
-// sigmaOf[sigmaAt[k]:sigmaAt[k+1]], in ascending order. Every int32 table
-// is carved from one allocation, since a standalone Build compiles the
-// index afresh.
+// A constant CFD is indexed by its X constants. Its liveness is a closure:
+// it is live when each X constant is in adom(X) or is the head VB of a live
+// CFD with B = X. Only such a head can force every active X value below a
+// constant outside adom(X); any other CFD has an ωX that no clause can
+// make true, and dropping it, its constants and their axioms leaves every
+// other atom's consequences unchanged (DESIGN.md).
+//
+// Member lists are kept in compressed rows: the Σ members of key k are
+// sigmaOf[sigmaAt[k]:sigmaAt[k+1]], in ascending order, and likewise for
+// Γ. Every int32 table is carved from one allocation, since a standalone
+// Build compiles the index afresh.
 type ruleIndex struct {
 	keys     map[constKey]int32
 	attrKeys []int32 // per attribute: how many keys it has
@@ -35,6 +42,10 @@ type ruleIndex struct {
 	sigmaAt, sigmaOf []int32
 	sigmaNeed        []int32 // per Σ member: distinct keys it needs; -1 never live
 	sigmaAlways      []int32 // Σ members without constant conjuncts, ascending
+
+	gammaAt, gammaOf []int32
+	gammaNeed        []int32 // per Γ member: |X|
+	gammaHead        []int32 // per Γ member: the key of (B, VB), -1 if no CFD reads it
 
 	refAttrs [][]relation.Attr // per Σ member: the attributes it reads or writes
 }
@@ -45,7 +56,7 @@ const maxConjuncts = 8
 
 // newRuleIndex compiles the index of a rule set.
 func newRuleIndex(sigma []constraint.Currency, gamma []constraint.CFD) *ruleIndex {
-	nEq, maxAttr := 0, -1
+	nEq, nX, maxAttr := 0, 0, -1
 	for _, c := range sigma {
 		for _, p := range c.Body {
 			if a, _, ok := eqConst(p); ok {
@@ -54,18 +65,38 @@ func newRuleIndex(sigma []constraint.Currency, gamma []constraint.CFD) *ruleInde
 			}
 		}
 	}
-	ix := &ruleIndex{keys: make(map[constKey]int32, nEq)}
-	slab := make([]int32, 0, maxAttr+1+(nEq+1)+2*nEq+2*len(sigma))
+	for _, cfd := range gamma {
+		nX += len(cfd.X)
+		for _, a := range cfd.X {
+			maxAttr = max(maxAttr, int(a))
+		}
+	}
+	nK := nEq + nX // bounds the key count
+	ix := &ruleIndex{keys: make(map[constKey]int32, nK)}
+	slab := make([]int32, 0, maxAttr+1+2*(nK+1)+nK+nEq+nX+2*len(sigma)+2*len(gamma))
 	carve := func(n int) []int32 {
 		s := slab[len(slab) : len(slab)+n : len(slab)+n]
 		slab = slab[:len(slab)+n]
 		return s
 	}
 	ix.attrKeys = carve(maxAttr + 1)
-	ix.sigmaAt = carve(nEq + 1) // sized for the worst case, trimmed below
-	count := carve(nEq)         // per key: its members; then the fill cursor
+	ix.sigmaAt = carve(nK + 1) // sized for the worst case, trimmed below
+	ix.gammaAt = carve(nK + 1)
+	count := carve(nK) // per key: its members; then the fill cursor
 	ix.sigmaNeed = carve(len(sigma))
 	ix.sigmaAlways = carve(len(sigma))[:0]
+	ix.gammaNeed = carve(len(gamma))
+	ix.gammaHead = carve(len(gamma))
+	keyOf := func(a relation.Attr, v relation.Value) int32 {
+		k := constKey{a, canonKey(v)}
+		id, known := ix.keys[k]
+		if !known {
+			id = int32(len(ix.keys))
+			ix.keys[k] = id
+			ix.attrKeys[a]++
+		}
+		return id
+	}
 
 	// memberKeys lists the distinct keys of a member's constant conjuncts,
 	// creating keys on first sight, or reports the member never live.
@@ -80,14 +111,7 @@ func newRuleIndex(sigma []constraint.Currency, gamma []constraint.CFD) *ruleInde
 			if v.IsNull() {
 				return nil, false
 			}
-			k := constKey{a, canonKey(v)}
-			id, known := ix.keys[k]
-			if !known {
-				id = int32(len(ix.keys))
-				ix.keys[k] = id
-				ix.attrKeys[a]++
-			}
-			if !slices.Contains(ids, id) {
+			if id := keyOf(a, v); !slices.Contains(ids, id) {
 				ids = append(ids, id)
 			}
 		}
@@ -107,12 +131,23 @@ func newRuleIndex(sigma []constraint.Currency, gamma []constraint.CFD) *ruleInde
 			count[id]++
 		}
 	}
-	nKeys := len(ix.keys)
-	ix.sigmaAt = ix.sigmaAt[:nKeys+1]
-	for k := 0; k < nKeys; k++ {
-		ix.sigmaAt[k+1] = ix.sigmaAt[k] + count[k]
-		count[k] = ix.sigmaAt[k]
+	for _, cfd := range gamma {
+		for xi, a := range cfd.X {
+			keyOf(a, cfd.PX[xi])
+		}
 	}
+	nKeys := len(ix.keys)
+	// rows turns per-key member counts into row offsets in at and fill
+	// cursors in count.
+	rows := func(at []int32) []int32 {
+		at = at[:nKeys+1]
+		for k := 0; k < nKeys; k++ {
+			at[k+1] = at[k] + count[k]
+			count[k] = at[k]
+		}
+		return at
+	}
+	ix.sigmaAt = rows(ix.sigmaAt)
 	ix.sigmaOf = carve(int(ix.sigmaAt[nKeys]))
 	for ci, c := range sigma {
 		if ix.sigmaNeed[ci] <= 0 {
@@ -121,6 +156,27 @@ func newRuleIndex(sigma []constraint.Currency, gamma []constraint.CFD) *ruleInde
 		ids, _ := memberKeys(c)
 		for _, id := range ids {
 			ix.sigmaOf[count[id]] = int32(ci)
+			count[id]++
+		}
+	}
+
+	clear(count)
+	for gi, cfd := range gamma {
+		for xi, a := range cfd.X {
+			count[ix.keys[constKey{a, canonKey(cfd.PX[xi])}]]++
+		}
+		ix.gammaNeed[gi] = int32(len(cfd.X))
+		ix.gammaHead[gi] = -1
+		if id, ok := ix.keys[constKey{cfd.B, canonKey(cfd.VB)}]; ok {
+			ix.gammaHead[gi] = id
+		}
+	}
+	ix.gammaAt = rows(ix.gammaAt)
+	ix.gammaOf = carve(int(ix.gammaAt[nKeys]))
+	for gi, cfd := range gamma {
+		for xi, a := range cfd.X {
+			id := ix.keys[constKey{a, canonKey(cfd.PX[xi])}]
+			ix.gammaOf[count[id]] = int32(gi)
 			count[id]++
 		}
 	}
@@ -186,29 +242,42 @@ type liveState struct {
 	slab      []int32
 	keyIn     []int32 // per key: 1 once the constant is in the active domain
 	sigmaHits []int32 // per Σ member: its keys found so far
-	sigmaLive []int32 // live Σ members, ascending
+	sigmaLive []int32 // live Σ members, ascending between activations
+
+	keySat    []int32 // per key: 1 once in the active domain or a live head
+	gammaHits []int32 // per Γ member: its X keys satisfied so far
+	gammaLive []int32 // live Γ members, ascending between activations
 }
 
 // reset sizes the state to ix and clears it, keeping storage; only the
 // always-live members are live.
 func (st *liveState) reset(ix *ruleIndex) {
-	nK, nS := len(ix.keys), len(ix.sigmaNeed)
-	n := nK + 2*nS
+	nK, nS, nG := len(ix.keys), len(ix.sigmaNeed), len(ix.gammaHead)
+	counters := 2*nK + nS + nG
+	n := counters + nS + nG
 	if cap(st.slab) < n {
 		st.slab = make([]int32, n)
 	} else {
 		st.slab = st.slab[:n]
-		clear(st.slab[:nK+nS])
+		clear(st.slab[:counters])
 	}
-	st.keyIn = st.slab[:nK:nK]
-	st.sigmaHits = st.slab[nK : nK+nS : nK+nS]
-	st.sigmaLive = append(st.slab[nK+nS:nK+nS:n], ix.sigmaAlways...)
+	tab := st.slab
+	carve := func(n int) []int32 {
+		s := tab[:n:n]
+		tab = tab[n:]
+		return s
+	}
+	st.keyIn, st.keySat = carve(nK), carve(nK)
+	st.sigmaHits, st.gammaHits = carve(nS), carve(nG)
+	st.sigmaLive = append(carve(nS)[:0], ix.sigmaAlways...)
+	st.gammaLive = carve(nG)[:0]
 }
 
 // activate records value v joining adom(a): every key it satisfies is
-// marked and the members completed by it join the live list (unsorted). It
-// reports whether any member became live. A NaN value compares equal to
-// every number, so it satisfies every key of its attribute.
+// marked and the members completed by it join the live lists, unsorted
+// (callers sort them once a batch of values is in). It reports whether any
+// Σ member became live. A NaN value compares equal to every number, so it
+// satisfies every key of its attribute.
 func (st *liveState) activate(ix *ruleIndex, a relation.Attr, v relation.Value) bool {
 	if int(a) >= len(ix.attrKeys) || ix.attrKeys[a] == 0 {
 		return false
@@ -229,6 +298,7 @@ func (st *liveState) activate(ix *ruleIndex, a relation.Attr, v relation.Value) 
 
 // satisfy marks key id as held by the active domain.
 func (st *liveState) satisfy(ix *ruleIndex, id int32) bool {
+	st.satisfyGamma(ix, id)
 	if st.keyIn[id] != 0 {
 		return false
 	}
@@ -242,4 +312,23 @@ func (st *liveState) satisfy(ix *ruleIndex, id int32) bool {
 		}
 	}
 	return grew
+}
+
+// satisfyGamma marks key id as available to CFD patterns and closes over
+// the CFDs it completes: each joins the live list, and its head satisfies
+// the CFDs that read it.
+func (st *liveState) satisfyGamma(ix *ruleIndex, id int32) {
+	if st.keySat[id] != 0 {
+		return
+	}
+	st.keySat[id] = 1
+	for _, gi := range ix.gammaOf[ix.gammaAt[id]:ix.gammaAt[id+1]] {
+		st.gammaHits[gi]++
+		if st.gammaHits[gi] == ix.gammaNeed[gi] {
+			st.gammaLive = append(st.gammaLive, gi)
+			if h := ix.gammaHead[gi]; h >= 0 {
+				st.satisfyGamma(ix, h)
+			}
+		}
+	}
 }
