@@ -17,12 +17,28 @@ import (
 // metrics divide by the entity count. allocs/entity is the deterministic
 // regression anchor; clauses/entity is what each session loaded.
 func BenchmarkPipelineBulkMix(b *testing.B) {
-	ds := datagen.Person(datagen.PersonConfig{
+	benchPipeline(b, datagen.Person(datagen.PersonConfig{
 		Entities: 128, MinTuples: 2, MaxTuples: 40, Seed: 7,
 		Skew:   datagen.SkewZipf,
 		ACPool: 24, StatusChains: 6, StatusChainLen: 8,
 		JobChains: 6, JobChainLen: 8,
-	})
+	}))
+}
+
+// BenchmarkPipelinePersonPaper is BenchmarkPipelineBulkMix under the
+// paper's Person pools (|Σ| = 983, |Γ| = 1,000, as crfigures and
+// `-scale paper` use them) over 64 entities of 2–30 tuples: the workload
+// where rule-set size, not entity size, sets the cost.
+func BenchmarkPipelinePersonPaper(b *testing.B) {
+	benchPipeline(b, datagen.Person(datagen.PersonConfig{
+		Entities: 64, MinTuples: 2, MaxTuples: 30, Seed: 7,
+	}))
+}
+
+// benchPipeline resolves every entity of ds through one pooled Pipeline
+// per op, after one warming pass, and reports per-entity time,
+// allocations and loaded clauses.
+func benchPipeline(b *testing.B, ds *datagen.Dataset) {
 	p := NewPipeline(ds.Sigma, ds.Gamma, encode.Options{})
 	pass := func() (clauses int) {
 		for _, ent := range ds.Entities {
