@@ -18,6 +18,11 @@
 //     clause ωX → b ≺v tp[B], where ωX asserts every active-domain X-value
 //     sits below the pattern.
 //
+// Only the members of Σ and Γ that the entity's active values can fire are
+// instantiated; a rule-set index finds them (index.go). The others yield
+// no instance (Σ) or only vacuous ones (Γ), and a dead CFD's constants do
+// not enter the domains.
+//
 // Two deviations from a literal reading of the paper, both documented in
 // DESIGN.md: (a) tuple pairs are grouped by their projection onto the
 // attributes a constraint actually references, which yields the same set of
@@ -190,7 +195,7 @@ type Encoding struct {
 	Spec   *model.Spec
 	Schema *relation.Schema
 
-	doms   [][]relation.Value // per attribute: active domain ∪ CFD constants
+	doms   [][]relation.Value // per attribute: active domain ∪ live CFDs' constants
 	adomSz []int              // per attribute: |adom| prefix of doms at Build time
 	domIdx []map[valKey]int   // canonical value -> index in doms
 
@@ -378,8 +383,9 @@ func (e *Encoding) resetStorage(n int) {
 func (e *Encoding) CNF() *sat.CNF { return e.cnf }
 
 // Dom returns the value domain of attribute a: the Build-time active domain
-// first (see ADomSize), then CFD constants not occurring in the data, then
-// values appended by incremental extension.
+// first (see ADomSize), then the constants of live CFDs not occurring in
+// the data, then values appended by incremental extension (new data values
+// and the constants of CFDs the extension made live).
 func (e *Encoding) Dom(a relation.Attr) []relation.Value { return e.doms[a] }
 
 // ADomSize returns the Build-time |adom(Ie.a)|; Dom(a)[:ADomSize(a)] is that
@@ -1021,14 +1027,15 @@ func (e *Encoding) emitSparseAxioms(attr relation.Attr, vals []int, facts map[[2
 // specification would add: order-fact units for the new edges, null-lowest
 // facts for values joining an attribute's active domain, currency instances
 // pairing every existing tuple with t_o, CFD instances whose head ranges
-// over the newly joined values, and asymmetry clauses and order-group joins
-// for the newly active values.
+// over the newly joined values, the full instance sets of CFDs the new
+// values make live, and asymmetry clauses and order-group joins for the
+// newly active values.
 //
 // It returns false when the extension is not expressible as a monotone
 // clause addition and the caller must rebuild via Build(e.Spec, opts):
-//   - a value joins the active domain of an attribute on a CFD left-hand
-//     side with a differing pattern value (ωX of already-emitted instances
-//     would weaken, which clause addition cannot express),
+//   - a value joins the active domain of an attribute on a live CFD's
+//     left-hand side with a differing pattern value (ωX of already-emitted
+//     instances would weaken, which clause addition cannot express),
 //   - the encoding used the sparse transitivity path, or
 //   - a newly active value would push an attribute past the transitivity
 //     cap into the sparse regime.
