@@ -190,8 +190,12 @@ func TestResolveBatchReportsPerEntityErrors(t *testing.T) {
 // One batch on every worker first warms a pipeline per worker, so no
 // timed batch builds one. Each timed trial repeats the 96-entity batch
 // until it has run for at least 50 ms and reports the mean batch wall
-// time; sequential and parallel trials alternate, best of 3 each, so a
-// slow spell of the host hits both sides.
+// time. Sequential and parallel trials alternate, so a slow spell of the
+// host hits both sides, and the best of each is compared after 3 rounds
+// and after every round up to 10: another process holding a core (a
+// concurrent go test of another package) hides the speedup only while it
+// runs. A pool that does not run workers in parallel reads about 1x in
+// every round, however many it gets.
 func TestResolveBatchParallelSpeedup(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	if procs < 2 {
@@ -221,8 +225,11 @@ func TestResolveBatchParallelSpeedup(t *testing.T) {
 		return wall / time.Duration(n)
 	}
 	seq, par := time.Duration(1<<62-1), time.Duration(1<<62-1)
-	for i := 0; i < 3; i++ {
+	for round := 1; round <= 10; round++ {
 		seq, par = min(seq, trial(1)), min(par, trial(procs))
+		if round >= 3 && float64(seq) >= 1.3*float64(par) {
+			break
+		}
 	}
 	t.Logf("sequential %v, %d workers %v per batch (%.2fx)", seq, procs, par, float64(seq)/float64(par))
 	// Demand a conservative 1.3x so scheduler noise cannot flake the test.
