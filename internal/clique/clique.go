@@ -53,6 +53,19 @@ func (g *Graph) Degree(v int) int {
 	return d
 }
 
+// byDegree lists the vertices by degree, descending. Degrees are computed
+// once, up front: the comparator only reads them.
+func (g *Graph) byDegree() []int {
+	order := make([]int, g.n)
+	deg := make([]int, g.n)
+	for i := range order {
+		order[i] = i
+		deg[i] = g.Degree(i)
+	}
+	sort.Slice(order, func(a, b int) bool { return deg[order[a]] > deg[order[b]] })
+	return order
+}
+
 // IsClique reports whether the vertex set is pairwise adjacent.
 func (g *Graph) IsClique(vs []int) bool {
 	for i := 0; i < len(vs); i++ {
@@ -87,11 +100,7 @@ func (g *Graph) MaxCliqueBudget(budget int) []int {
 	nodes := 0
 
 	// Order candidates by degree descending for better early bounds.
-	order := make([]int, g.n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return g.Degree(order[a]) > g.Degree(order[b]) })
+	order := g.byDegree()
 
 	var expand func(cand []int)
 	expand = func(cand []int) {
@@ -167,11 +176,7 @@ func (g *Graph) GreedyClique() []int {
 	if g.n == 0 {
 		return nil
 	}
-	order := make([]int, g.n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return g.Degree(order[a]) > g.Degree(order[b]) })
+	order := g.byDegree()
 
 	var best []int
 	for _, seed := range order {

@@ -110,3 +110,37 @@ func TestDiagnoseCFDConflict(t *testing.T) {
 		t.Fatalf("core must involve both CFDs:\n%s", conf.Format(enc))
 	}
 }
+
+func TestDiagnoseSparseFactCycle(t *testing.T) {
+	// Explicit edges 0≺1 and 1≺0 form a cycle among the unit facts; 1≺2
+	// lifts the attribute's active values above a cap of 2, so the sparse
+	// transitivity path sees the cycle. The core is the two cycle edges
+	// on both paths.
+	sch := relation.MustSchema("a")
+	in := relation.NewInstance(sch)
+	for _, v := range []string{"x", "y", "z"} {
+		in.MustAdd(relation.Tuple{relation.String(v)})
+	}
+	spec := specFrom(t, in, nil, nil)
+	spec.TI.MustOrder(0, 0, 1)
+	spec.TI.MustOrder(0, 1, 0)
+	spec.TI.MustOrder(0, 1, 2)
+	for _, cap := range []int{50, 2} {
+		enc := encode.Build(spec, encode.Options{TransitivityCap: cap})
+		if got := enc.Sparse; got != (cap == 2) {
+			t.Fatalf("cap %d: Sparse = %v", cap, got)
+		}
+		conf, ok := Diagnose(enc)
+		if !ok {
+			t.Fatalf("cap %d: a cycle of explicit edges must be invalid", cap)
+		}
+		if len(conf.Instances) != 2 {
+			t.Fatalf("cap %d: core has %d instances, want the 2 cycle edges:\n%s", cap, len(conf.Instances), conf.Format(enc))
+		}
+		for _, inst := range conf.Instances {
+			if inst.Src.Kind != encode.SrcOrder || len(inst.Body) != 0 {
+				t.Fatalf("cap %d: core holds a non-fact instance:\n%s", cap, conf.Format(enc))
+			}
+		}
+	}
+}

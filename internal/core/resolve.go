@@ -26,8 +26,6 @@ func (f OracleFunc) Answer(s Suggestion) map[relation.Attr]relation.Value { retu
 
 // Options tunes Resolve.
 type Options struct {
-	// Encode configures the CNF encoder.
-	Encode encode.Options
 	// MaxRounds bounds user-interaction rounds; 0 means the default (8).
 	MaxRounds int
 	// UseNaiveDeduce switches true-value deduction to the NaiveDeduce
@@ -147,15 +145,14 @@ func (e *sessionEngine) stats() SessionStats                             { retur
 // validity, Fig. 5 deduction and naive-deduction queries run on the loaded
 // solver instead of paying a redundant clause load per phase.
 type scratchEngine struct {
-	cur  *model.Spec
-	opts encode.Options
-	enc  *encode.Encoding
+	cur *model.Spec
+	enc *encode.Encoding
 
 	solver *sat.Solver
 }
 
 func (e *scratchEngine) beginRound() *encode.Encoding {
-	e.enc = encode.Build(e.cur, e.opts) //crlint:ignore encodingalias standalone Build allocates fresh storage; no Skeleton is reused
+	e.enc = encode.Build(e.cur, encode.Options{}) //crlint:ignore encodingalias standalone Build allocates fresh storage; no Skeleton is reused
 	e.solver = sat.New()
 	e.enc.CNF().LoadInto(e.solver) // an inconsistent load leaves e.solver !Okay, which every phase checks
 	return e.enc
@@ -195,11 +192,11 @@ func Resolve(spec *model.Spec, oracle Oracle, opts Options) (*Outcome, error) {
 	var eng resolveEngine
 	switch {
 	case opts.FromScratch:
-		eng = &scratchEngine{cur: spec, opts: opts.Encode}
+		eng = &scratchEngine{cur: spec}
 	case opts.Pipeline != nil:
 		eng = &sessionEngine{s: opts.Pipeline.NewSession(spec)}
 	default:
-		eng = &sessionEngine{s: NewSession(spec, opts.Encode)}
+		eng = &sessionEngine{s: NewSession(spec, encode.Options{})}
 	}
 	return resolveLoop(eng, spec.Schema(), oracle, opts)
 }
@@ -308,17 +305,12 @@ type SimulatedUser struct {
 	// MaxPerRound bounds how many attributes are answered per round;
 	// 0 means all requested.
 	MaxPerRound int
-	// Mute silences specific attributes (the user "does not know" them).
-	Mute map[relation.Attr]bool
 }
 
 // Answer implements Oracle.
 func (u *SimulatedUser) Answer(s Suggestion) map[relation.Attr]relation.Value {
 	out := make(map[relation.Attr]relation.Value)
 	for _, a := range s.Attrs {
-		if u.Mute[a] {
-			continue
-		}
 		if int(a) >= len(u.Truth) {
 			continue
 		}

@@ -69,11 +69,11 @@ func suggestWith(enc *encode.Encoding, od *OrderSet, resolved map[relation.Attr]
 			// ruleFacts may have allocated fresh pair variables (with their
 			// asymmetry clauses); attach the delta before probing.
 			sess.sync()
-			keptIdx, hardOK = maxsat.SolveWithWeights(sess.solver, groups, weights, maxsat.Options{})
+			keptIdx, hardOK = maxsat.SolveWithWeights(sess.solver, groups, weights)
 		} else {
 			s := sat.New()
 			if enc.CNF().LoadInto(s) {
-				keptIdx, hardOK = maxsat.SolveWithWeights(s, groups, weights, maxsat.Options{})
+				keptIdx, hardOK = maxsat.SolveWithWeights(s, groups, weights)
 			}
 		}
 		if hardOK {

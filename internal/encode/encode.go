@@ -926,7 +926,7 @@ func (e *Encoding) emitFullAxioms(attr relation.Attr, vals []int) {
 
 // emitSparseAxioms handles attributes with large active-value sets: the
 // transitive closure of the unit facts is materialized as additional unit
-// clauses (with a direct contradiction emitted on a fact cycle), full
+// clauses (a fact cycle instead becomes one clause over its facts), full
 // axioms are restricted to the values occurring in conditional clauses, and
 // binary bridge clauses connect closed facts to those conditional values.
 func (e *Encoding) emitSparseAxioms(attr relation.Attr, vals []int, facts map[[2]int]bool, cond []int, transCap int) {
@@ -954,15 +954,14 @@ func (e *Encoding) emitSparseAxioms(attr relation.Attr, vals []int, facts map[[2
 		}
 		return sorted[i][1] < sorted[j][1]
 	})
-	type edge struct{ a, b int }
-	var edges []edge
-	for _, f := range sorted {
-		edges = append(edges, edge{idx(f[0]), idx(f[1])})
+	edges := make([][2]int, len(sorted))
+	for k, f := range sorted {
+		edges[k] = [2]int{idx(f[0]), idx(f[1])}
 	}
 	m := len(order)
 	reach := make([]bool, m*m)
 	for _, ed := range edges {
-		reach[ed.a*m+ed.b] = true
+		reach[ed[0]*m+ed[1]] = true
 	}
 	for k := 0; k < m; k++ {
 		for i := 0; i < m; i++ {
@@ -976,14 +975,22 @@ func (e *Encoding) emitSparseAxioms(attr relation.Attr, vals []int, facts map[[2
 			}
 		}
 	}
-	// Emit closed facts; a cycle yields an immediate contradiction.
+	// A cycle among the facts is a contradiction. It is stated as one hard
+	// clause, "not all of the cycle's facts hold", so the fact instances in
+	// Ω stay the soft side of it and Diagnose reports them as the core.
 	for i := 0; i < m; i++ {
 		if reach[i*m+i] {
-			x := e.litRaw(attr, order[i], order[(i+1)%m])
-			e.cnf.Add(x)
-			e.cnf.Add(x.Not())
+			cycle := cycleThrough(i, m, edges)
+			cl := make([]sat.Lit, len(cycle))
+			for k, ed := range cycle {
+				cl[k] = e.litRaw(attr, order[ed[0]], order[ed[1]]).Not()
+			}
+			e.cnf.Add(cl...)
 			return
 		}
+	}
+	// Emit closed facts.
+	for i := 0; i < m; i++ {
 		for j := 0; j < m; j++ {
 			if i != j && reach[i*m+j] {
 				e.cnf.Add(e.litRaw(attr, order[i], order[j]))
@@ -1014,6 +1021,41 @@ func (e *Encoding) emitSparseAxioms(attr relation.Attr, vals []int, facts map[[2
 			}
 		}
 	}
+}
+
+// cycleThrough returns the edges of a shortest cycle through node v over
+// nodes 0..m-1, in walk order; v must lie on a cycle.
+func cycleThrough(v, m int, edges [][2]int) [][2]int {
+	// Breadth-first from v; via[u] is the edge that first reached u.
+	via := make([]int, m)
+	for u := range via {
+		via[u] = -1
+	}
+	frontier := []int{v}
+	for len(frontier) > 0 {
+		var next []int
+		for _, u := range frontier {
+			for k, ed := range edges {
+				if ed[0] != u {
+					continue
+				}
+				if ed[1] == v {
+					cycle := [][2]int{ed}
+					for w := u; w != v; w = edges[via[w]][0] {
+						cycle = append(cycle, edges[via[w]])
+					}
+					slices.Reverse(cycle)
+					return cycle
+				}
+				if via[ed[1]] < 0 {
+					via[ed[1]] = k
+					next = append(next, ed[1])
+				}
+			}
+		}
+		frontier = next
+	}
+	panic("encode: cycleThrough: node is on no cycle")
 }
 
 // ExtendAnswers applies the framework's Se ⊕ Ot step for user-validated

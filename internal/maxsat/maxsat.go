@@ -24,21 +24,9 @@ type Problem struct {
 	Groups [][]sat.Lit
 }
 
-// Options tunes Solve.
-type Options struct {
-	// MaxConflictsPerCheck bounds each SAT oracle call; 0 = unbounded.
-	MaxConflictsPerCheck int64
-	// ExactGroupLimit is the largest group count solved exactly; larger
-	// instances fall back to the greedy algorithm. Default 24.
-	ExactGroupLimit int
-}
-
-func (o Options) exactLimit() int {
-	if o.ExactGroupLimit <= 0 {
-		return 24
-	}
-	return o.ExactGroupLimit
-}
+// ExactGroupLimit is the largest group count solved exactly; larger
+// instances fall back to the greedy algorithm.
+const ExactGroupLimit = 24
 
 // Solve returns the indices (sorted) of a maximum subset of groups that is
 // jointly satisfiable with the hard clauses, and whether the hard clauses
@@ -48,23 +36,19 @@ func (o Options) exactLimit() int {
 // One incremental solver carries the hard clauses across all checks; group
 // membership is probed through assumption literals, so the per-check cost is
 // a single assumption-scoped search instead of a formula reload.
-func Solve(p *Problem, opts Options) (kept []int, hardOK bool) {
+func Solve(p *Problem) (kept []int, hardOK bool) {
 	s := sat.New()
 	if !p.Hard.LoadInto(s) {
 		return nil, false
 	}
-	return SolveWith(s, p.Groups, opts)
+	return SolveWith(s, p.Groups)
 }
 
 // SolveWith is Solve against a caller-supplied solver already holding the
 // hard clauses — typically a resolution session's incremental solver. Group
 // membership is probed purely through assumptions, so the solver's clause
-// set is unchanged while its learned clauses are reused and extended. The
-// solver's MaxConflicts setting is saved and restored around the probes.
-func SolveWith(s *sat.Solver, groups [][]sat.Lit, opts Options) (kept []int, hardOK bool) {
-	saved := s.MaxConflicts
-	s.MaxConflicts = opts.MaxConflictsPerCheck
-	defer func() { s.MaxConflicts = saved }()
+// set is unchanged while its learned clauses are reused and extended.
+func SolveWith(s *sat.Solver, groups [][]sat.Lit) (kept []int, hardOK bool) {
 	if s.Solve() != sat.StatusSat {
 		return nil, false
 	}
@@ -72,7 +56,7 @@ func SolveWith(s *sat.Solver, groups [][]sat.Lit, opts Options) (kept []int, har
 		return nil, true
 	}
 	c := &checker{s: s, p: &Problem{Groups: groups}}
-	if len(groups) <= opts.exactLimit() {
+	if len(groups) <= ExactGroupLimit {
 		return c.solveExact(), true
 	}
 	return c.solveGreedy(), true
@@ -87,13 +71,10 @@ func SolveWith(s *sat.Solver, groups [][]sat.Lit, opts Options) (kept []int, har
 // (original index breaks ties, so equal-weight prefixes behave exactly like
 // the unweighted greedy pass) and each group consistent with the hard clauses
 // and the groups kept so far is kept.
-func SolveWithWeights(s *sat.Solver, groups [][]sat.Lit, weights []float64, opts Options) (kept []int, hardOK bool) {
+func SolveWithWeights(s *sat.Solver, groups [][]sat.Lit, weights []float64) (kept []int, hardOK bool) {
 	if uniformWeights(weights, len(groups)) {
-		return SolveWith(s, groups, opts)
+		return SolveWith(s, groups)
 	}
-	saved := s.MaxConflicts
-	s.MaxConflicts = opts.MaxConflictsPerCheck
-	defer func() { s.MaxConflicts = saved }()
 	if s.Solve() != sat.StatusSat {
 		return nil, false
 	}

@@ -11,7 +11,7 @@ func TestHardUnsat(t *testing.T) {
 	hard := sat.NewCNF(1)
 	hard.Add(sat.PosLit(0))
 	hard.Add(sat.NegLit(0))
-	kept, ok := Solve(&Problem{Hard: hard}, Options{})
+	kept, ok := Solve(&Problem{Hard: hard})
 	if ok || kept != nil {
 		t.Fatalf("hard UNSAT: kept=%v ok=%v", kept, ok)
 	}
@@ -20,7 +20,7 @@ func TestHardUnsat(t *testing.T) {
 func TestNoGroups(t *testing.T) {
 	hard := sat.NewCNF(1)
 	hard.Add(sat.PosLit(0))
-	kept, ok := Solve(&Problem{Hard: hard}, Options{})
+	kept, ok := Solve(&Problem{Hard: hard})
 	if !ok || len(kept) != 0 {
 		t.Fatalf("kept=%v ok=%v", kept, ok)
 	}
@@ -33,7 +33,7 @@ func TestAllGroupsCompatible(t *testing.T) {
 		Hard:   hard,
 		Groups: [][]sat.Lit{{sat.PosLit(0)}, {sat.PosLit(1)}, {sat.PosLit(2)}},
 	}
-	kept, ok := Solve(p, Options{})
+	kept, ok := Solve(p)
 	if !ok || len(kept) != 3 {
 		t.Fatalf("kept=%v ok=%v, want all three", kept, ok)
 	}
@@ -46,7 +46,7 @@ func TestConflictingGroupsMaximum(t *testing.T) {
 		Hard:   hard,
 		Groups: [][]sat.Lit{{sat.PosLit(0)}, {sat.NegLit(0)}, {sat.PosLit(1)}},
 	}
-	kept, ok := Solve(p, Options{})
+	kept, ok := Solve(p)
 	if !ok || len(kept) != 2 {
 		t.Fatalf("kept=%v, want size 2", kept)
 	}
@@ -58,7 +58,7 @@ func TestGroupInternallyContradictory(t *testing.T) {
 		Hard:   hard,
 		Groups: [][]sat.Lit{{sat.PosLit(0), sat.NegLit(0)}, {sat.PosLit(0)}},
 	}
-	kept, ok := Solve(p, Options{})
+	kept, ok := Solve(p)
 	if !ok || len(kept) != 1 || kept[0] != 1 {
 		t.Fatalf("kept=%v, want just group 1", kept)
 	}
@@ -72,7 +72,7 @@ func TestHardClausesConstrainGroups(t *testing.T) {
 		Hard:   hard,
 		Groups: [][]sat.Lit{{sat.PosLit(0)}, {sat.PosLit(1)}, {sat.PosLit(2)}},
 	}
-	kept, ok := Solve(p, Options{})
+	kept, ok := Solve(p)
 	if !ok || len(kept) != 2 {
 		t.Fatalf("kept=%v, want 2 of 3", kept)
 	}
@@ -139,7 +139,7 @@ func TestExactAgainstBruteForce(t *testing.T) {
 		}
 		p := &Problem{Hard: hard, Groups: groups}
 		want := bruteMaxGroups(p)
-		kept, ok := Solve(p, Options{})
+		kept, ok := Solve(p)
 		if !ok {
 			t.Fatalf("iter %d: hard should be SAT", iter)
 		}
@@ -150,14 +150,15 @@ func TestExactAgainstBruteForce(t *testing.T) {
 }
 
 func TestGreedyFallback(t *testing.T) {
-	hard := sat.NewCNF(30)
+	const n = ExactGroupLimit + 6
+	hard := sat.NewCNF(n)
 	var groups [][]sat.Lit
-	for i := 0; i < 30; i++ {
+	for i := 0; i < n; i++ {
 		groups = append(groups, []sat.Lit{sat.PosLit(sat.Var(i))})
 	}
 	p := &Problem{Hard: hard, Groups: groups}
-	kept, ok := Solve(p, Options{ExactGroupLimit: 5})
-	if !ok || len(kept) != 30 {
+	kept, ok := Solve(p)
+	if !ok || len(kept) != n {
 		t.Fatalf("greedy should keep all compatible groups, kept %d", len(kept))
 	}
 }

@@ -74,7 +74,8 @@ const (
 type Status int
 
 const (
-	// StatusUnknown means the conflict budget was exhausted.
+	// StatusUnknown means a restart's conflict budget ran out; Solve itself
+	// restarts and never returns it.
 	StatusUnknown Status = iota
 	// StatusSat means a satisfying assignment was found.
 	StatusSat

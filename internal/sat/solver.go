@@ -81,10 +81,6 @@ type Solver struct {
 	// whole lifetime, so pooled reuse never loses work accounting. Callers
 	// that want per-formula numbers subtract a snapshot taken at load time.
 	Stats Stats
-
-	// MaxConflicts bounds the total conflicts per Solve call; 0 means
-	// unbounded. When exceeded, Solve returns StatusUnknown.
-	MaxConflicts int64
 }
 
 // Stats aggregates solver counters across a Solver's lifetime.
@@ -108,9 +104,9 @@ func New() *Solver {
 
 // Reset returns the solver to the empty state of New while keeping every
 // allocation — clause arena, literal blocks, watch lists, trail, activity
-// and heap storage — for reuse by the next formula. MaxConflicts is zeroed
-// (it is per-formula configuration); Stats accumulates across resets so
-// pooled reuse keeps lifetime work accounting without snapshot workarounds.
+// and heap storage — for reuse by the next formula. Stats accumulates
+// across resets so pooled reuse keeps lifetime work accounting without
+// snapshot workarounds.
 func (s *Solver) Reset() {
 	s.arena = s.arena[:0]
 	s.clauses = s.clauses[:0]
@@ -144,7 +140,6 @@ func (s *Solver) Reset() {
 	s.ok = true
 	s.haveModl = false
 	s.rootLearnt = false
-	s.MaxConflicts = 0
 }
 
 // NewVar allocates a fresh variable and returns it.
@@ -582,13 +577,12 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	defer s.cancelUntil(0)
 
 	var restart int64 = 1
-	var totalConflicts int64
 	maxLearnts := int64(len(s.clauses)+s.triples)/3 + 100
 
 	for {
 		budget := 100 * luby(restart)
 		restart++
-		st, confl := s.search(assumptions, budget, &totalConflicts, &maxLearnts)
+		st, confl := s.search(assumptions, budget, &maxLearnts)
 		switch st {
 		case StatusSat:
 			if cap(s.model) >= len(s.assigns) {
@@ -607,25 +601,21 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			}
 			return StatusUnsat
 		}
-		if s.MaxConflicts > 0 && totalConflicts >= s.MaxConflicts {
-			return StatusUnknown
-		}
 		s.Stats.Restarts++
 		s.cancelUntil(0)
 	}
 }
 
-// search runs CDCL until a result, restart budget exhaustion, or the global
-// conflict bound. The bool result reports whether UNSAT was derived at level
-// 0 (i.e. independent of assumptions).
-func (s *Solver) search(assumptions []Lit, budget int64, total *int64, maxLearnts *int64) (Status, bool) {
+// search runs CDCL until a result or the restart's conflict budget runs
+// out (StatusUnknown: Solve restarts). The bool result reports whether
+// UNSAT was derived at level 0 (i.e. independent of assumptions).
+func (s *Solver) search(assumptions []Lit, budget int64, maxLearnts *int64) (Status, bool) {
 	var conflicts int64
 	for {
 		confl := s.propagate()
 		if confl != noClause {
 			s.Stats.Conflicts++
 			conflicts++
-			*total++
 			if s.decisionLevel() == 0 {
 				return StatusUnsat, true
 			}
@@ -649,7 +639,7 @@ func (s *Solver) search(assumptions []Lit, budget int64, total *int64, maxLearnt
 			}
 			continue
 		}
-		if conflicts >= budget || (s.MaxConflicts > 0 && *total >= s.MaxConflicts) {
+		if conflicts >= budget {
 			return StatusUnknown, false
 		}
 		// Decision: assumptions first, then VSIDS.

@@ -83,9 +83,10 @@ type Config struct {
 	// ShutdownGrace bounds how long Serve waits for in-flight requests on
 	// shutdown (default 10s).
 	ShutdownGrace time.Duration
-	// RetryBase is the first backoff delay when a keyed request, an entity
-	// proxy hop or a replication forward retries after a transport failure
-	// (default 25ms). Delays double per attempt with ±50% jitter.
+	// RetryBase is the first backoff delay when a keyed request, a session
+	// create, an entity proxy hop or a replication forward retries after a
+	// transport failure (default 25ms). Delays double per attempt with ±50%
+	// jitter.
 	RetryBase time.Duration
 	// RetryCap bounds one backoff delay (default 1s).
 	RetryCap time.Duration
@@ -94,7 +95,7 @@ type Config struct {
 	// retry_budget_exhausted (default 15s). The clock starts at the first
 	// transport failure — a slow-but-healthy first attempt still gets the
 	// full Timeout — and is a context deadline threaded through
-	// Coordinator.post, so it also cuts a retry attempt that outlives it.
+	// Coordinator.send, so it also cuts a retry attempt that outlives it.
 	RetryBudget time.Duration
 	// Client overrides the HTTP client used to talk to backends (tests).
 	Client *http.Client
@@ -373,15 +374,11 @@ func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, 
 	return body, true
 }
 
-// post sends body to backend b and returns the full response. Transport
-// errors (request or body read) mark the backend down and report retryable.
-func (c *Coordinator) post(ctx context.Context, b *backend, path, contentType string, body []byte) (status int, respBody []byte, retryable bool, err error) {
-	return c.do(ctx, b, http.MethodPost, path, contentType, body)
-}
-
-// do is post generalized over the method (the entity proxy relays GET and
-// DELETE through the same retry machinery). A nil body sends no payload.
-func (c *Coordinator) do(ctx context.Context, b *backend, method, path, contentType string, body []byte) (status int, respBody []byte, retryable bool, err error) {
+// do sends one request to backend b under the per-hop Timeout and returns
+// the full response. A non-nil body goes out as JSON; nil sends no payload.
+// Transport errors (request or body read) mark the backend down and report
+// retryable.
+func (c *Coordinator) do(ctx context.Context, b *backend, method, path string, body []byte) (status int, respBody []byte, retryable bool, err error) {
 	b.requests.Add(1)
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
@@ -393,8 +390,8 @@ func (c *Coordinator) do(ctx context.Context, b *backend, method, path, contentT
 	if err != nil {
 		return 0, nil, false, err
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.cfg.Client.Do(req)
 	if err != nil {
@@ -417,77 +414,149 @@ func (c *Coordinator) retryBudgetCtx(ctx context.Context) (context.Context, cont
 	return context.WithTimeout(ctx, c.cfg.RetryBudget)
 }
 
-// budgetExhausted answers a request whose retry budget ran out mid-failover.
-func (c *Coordinator) budgetExhausted(w http.ResponseWriter, err error) {
-	c.met.retryBudgetExhausted.Add(1)
-	c.writeError(w, http.StatusServiceUnavailable, codeRetryBudget,
-		fmt.Sprintf("retry budget exhausted after %s: %v", c.cfg.RetryBudget, err))
+// keyed is one request that send routes by key along the ring.
+type keyed struct {
+	key, method, path string
+	body              []byte // nil for GET and DELETE
+	// tried marks backends, by index, that the request must not go to.
+	tried uint64
+	// resend, when set, sees every answer that arrived, with the attempt
+	// count before it. A non-nil error asks for the same backend again
+	// after a backoff and is the cause reported if the budget runs out
+	// first; nil accepts the answer.
+	resend func(rep reply, attempt int) error
 }
 
-// forwardKeyed relays one complete JSON request (resolve, validate) to the
-// entity's owner, failing over to siblings on transport errors under the
-// unified retry policy: capped jittered backoff between attempts, all
-// charged against the per-request retry budget. Resolution is a pure
-// computation, so replaying the request on another backend is safe.
-func (c *Coordinator) forwardKeyed(w http.ResponseWriter, r *http.Request, path string) {
-	body, ok := c.readBody(w, r)
-	if !ok {
+// reply is the answer a keyed request got, and the backend that gave it.
+type reply struct {
+	b      *backend
+	idx    int
+	status int
+	data   []byte
+}
+
+// errNoBackend reports a keyed request with no live, untried owner left.
+var errNoBackend = errors.New("no live backend")
+
+// budgetError reports a keyed request whose retry budget ran out while it
+// backed off from cause.
+type budgetError struct{ cause error }
+
+func (e *budgetError) Error() string { return "retry budget exhausted: " + e.cause.Error() }
+
+// send is the fleet's one attempt loop for keyed requests: resolve,
+// validate, session creates, entity requests and replica forwards. It sends
+// k to the first live, untried owner along the key's preference list. On a
+// transport error it marks that backend tried, backs off under the unified
+// policy and routes again; an answer that k.resend declines is sent again
+// to the same backend after the same backoff. The retry budget starts at
+// the first failure and covers every pause and later attempt, so a
+// slow-but-healthy first attempt still gets the full per-hop Timeout.
+// Replaying a keyed request on another backend is safe: resolution is a
+// pure computation, a create that died on the wire leaves only a session
+// that expires by TTL, and live-entity deltas are at-least-once.
+func (c *Coordinator) send(ctx context.Context, k keyed) (reply, error) {
+	parent := ctx
+	cancel := context.CancelFunc(func() {})
+	defer func() { cancel() }()
+	tried := k.tried
+	var rep reply
+	for attempt := 0; ; attempt++ {
+		if rep.b == nil {
+			if rep.b, rep.idx = c.route(k.key, tried); rep.b == nil {
+				return reply{}, errNoBackend
+			}
+		}
+		if attempt > 0 {
+			rep.b.retries.Add(1)
+		}
+		var retryable bool
+		var err error
+		rep.status, rep.data, retryable, err = c.do(ctx, rep.b, k.method, k.path, k.body)
+		switch {
+		case err == nil:
+			if k.resend == nil {
+				return rep, nil
+			}
+			if err = k.resend(rep, attempt); err == nil {
+				return rep, nil
+			}
+		case !retryable:
+			return reply{}, err
+		default:
+			tried |= 1 << uint(rep.idx)
+			rep.b = nil // the next owner on the preference list
+		}
+		if attempt == 0 {
+			ctx, cancel = c.retryBudgetCtx(parent)
+		}
+		if c.retry.Sleep(ctx, attempt+1, c.jitter) != nil {
+			return reply{}, &budgetError{cause: err}
+		}
+	}
+}
+
+// writeSendError answers a keyed request that send gave up on; what names
+// the routed thing in the no-backend message.
+func (c *Coordinator) writeSendError(w http.ResponseWriter, err error, what string) {
+	var budget *budgetError
+	switch {
+	case errors.As(err, &budget):
+		c.met.retryBudgetExhausted.Add(1)
+		c.writeError(w, http.StatusServiceUnavailable, codeRetryBudget,
+			fmt.Sprintf("retry budget exhausted after %s: %v", c.cfg.RetryBudget, budget.cause))
+	case errors.Is(err, errNoBackend):
+		c.met.noBackend.Add(1)
+		c.writeError(w, http.StatusServiceUnavailable, codeNoBackend, "no live backend for "+what)
+	default:
+		c.writeError(w, http.StatusBadGateway, codeBackendDown, err.Error())
+	}
+}
+
+// relay writes a backend's answer to the client: a bare 204, or the JSON
+// body under the backend's status.
+func relay(w http.ResponseWriter, status int, data []byte) {
+	if status == http.StatusNoContent {
+		w.WriteHeader(status)
 		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(data)
+}
+
+// readKeyed reads a /v1/resolve-shaped body and the key it routes on.
+func (c *Coordinator) readKeyed(w http.ResponseWriter, r *http.Request) (body []byte, key string, ok bool) {
+	if body, ok = c.readBody(w, r); !ok {
+		return nil, "", false
 	}
 	var req keyedRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		c.writeError(w, http.StatusBadRequest, codeBadRequest, "bad JSON: "+err.Error())
-		return
+		return nil, "", false
 	}
-	key := req.Entity.ID
+	key = req.Entity.ID
 	if key == "" {
 		// No entity id: route on the body so identical requests still hit
 		// the same backend (and its result cache).
 		key = fmt.Sprintf("%016x", hash64(string(body)))
 	}
-	ctx := r.Context()
-	var cancel context.CancelFunc
-	defer func() {
-		if cancel != nil {
-			cancel()
-		}
-	}()
-	var tried uint64
-	attempt := 0
-	for {
-		b, idx := c.route(key, tried)
-		if b == nil {
-			c.met.noBackend.Add(1)
-			c.writeError(w, http.StatusServiceUnavailable, codeNoBackend, "no live backend for entity")
-			return
-		}
-		if tried != 0 {
-			b.retries.Add(1)
-		}
-		tried |= 1 << uint(idx)
-		status, data, retryable, err := c.post(ctx, b, path, "application/json", body)
-		if err != nil {
-			if !retryable {
-				c.writeError(w, http.StatusBadGateway, codeBackendDown, err.Error())
-				return
-			}
-			attempt++
-			if cancel == nil {
-				// The budget clock starts at the first failure, covering
-				// every backoff pause and retry attempt from here on.
-				ctx, cancel = c.retryBudgetCtx(r.Context())
-			}
-			if serr := c.retry.Sleep(ctx, attempt, c.jitter); serr != nil {
-				c.budgetExhausted(w, err)
-				return
-			}
-			continue
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		w.Write(data)
+	return body, key, true
+}
+
+// forwardKeyed relays one complete JSON request (resolve, validate) to the
+// entity's owner through send.
+func (c *Coordinator) forwardKeyed(w http.ResponseWriter, r *http.Request, path string) {
+	body, key, ok := c.readKeyed(w, r)
+	if !ok {
 		return
 	}
+	rep, err := c.send(r.Context(), keyed{key: key, method: http.MethodPost, path: path, body: body})
+	if err != nil {
+		c.writeSendError(w, err, "entity")
+		return
+	}
+	relay(w, rep.status, rep.data)
 }
 
 func (c *Coordinator) handleResolve(w http.ResponseWriter, r *http.Request) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -608,6 +609,85 @@ func TestShardSessionAffinity(t *testing.T) {
 	gresp.Body.Close()
 	if gresp.StatusCode != http.StatusNotFound || !strings.Contains(string(gdata), codeBadSessionID) {
 		t.Fatalf("unknown tag answered %d: %s", gresp.StatusCode, gdata)
+	}
+}
+
+// hungBackend accepts connections and never answers on them.
+func hungBackend(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns []net.Conn
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns = append(conns, conn)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+		for _, conn := range conns {
+			conn.Close()
+		}
+	})
+	return "http://" + ln.Addr().String()
+}
+
+func TestShardSessionFollowUpTimeout(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	c, curl := newShard(t, []string{hungBackend(t)}, func(cfg *Config) {
+		cfg.Timeout = timeout
+	})
+	sid := c.backends[0].tag + ".s1"
+	client := &http.Client{Timeout: 20 * timeout}
+	for _, req := range []struct{ method, path, body string }{
+		{http.MethodGet, "/v1/session/" + sid, ""},
+		{http.MethodPost, "/v1/session/" + sid + "/answer", `{"answers":{"status":"deceased"}}`},
+		{http.MethodDelete, "/v1/session/" + sid, ""},
+	} {
+		hreq, err := http.NewRequest(req.method, curl+req.path, strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(hreq)
+		if err != nil {
+			t.Fatalf("%s %s: no answer from the coordinator: %v", req.method, req.path, err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(data), codeBackendDown) {
+			t.Fatalf("%s %s to a hung backend answered %d: %s", req.method, req.path, resp.StatusCode, data)
+		}
+	}
+}
+
+func TestShardSessionCreateRetryBudget(t *testing.T) {
+	var urls []string
+	for i := 0; i < 2; i++ {
+		dead := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+		urls = append(urls, dead.URL)
+		dead.Close() // connection refused from now on
+	}
+	// The first backoff (at least half of RetryBase) outlasts the budget, so
+	// the create is shed before it reaches the second backend.
+	_, curl := newShard(t, urls, func(cfg *Config) {
+		cfg.RetryBase = time.Second
+		cfg.RetryBudget = 10 * time.Millisecond
+	})
+	resp, data := postJSON(t, curl+"/v1/session", edithResolveBody(t, 1))
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(data), codeRetryBudget) {
+		t.Fatalf("session create on a failing fleet answered %d: %s", resp.StatusCode, data)
+	}
+	if m := getBody(t, curl+"/metrics"); !strings.Contains(m, "crshard_retry_budget_exhausted_total 1\n") {
+		t.Fatalf("retry budget exhaustion not counted:\n%s", m)
 	}
 }
 

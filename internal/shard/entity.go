@@ -29,8 +29,10 @@ import (
 // through the same ordered queue as the upserts it may trail.
 
 // handleEntityProxy serves POST /v1/entity/{key}/rows and GET/DELETE
-// /v1/entity/{key} with replica failover on transport errors, under the
-// unified retry policy and budget.
+// /v1/entity/{key} through send: a transport error fails over to the warm
+// replica, the next owner on the preference list, after a backoff that
+// gives the owner time to come back from a blip and the replica time to
+// absorb in-flight forwards.
 func (c *Coordinator) handleEntityProxy(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if key == "" {
@@ -41,83 +43,30 @@ func (c *Coordinator) handleEntityProxy(w http.ResponseWriter, r *http.Request) 
 	if strings.HasSuffix(r.URL.Path, "/rows") {
 		path += "/rows"
 	}
-	var body []byte
-	contentType := ""
+	k := keyed{key: key, method: r.Method, path: path}
 	if r.Method == http.MethodPost {
 		var ok bool
-		if body, ok = c.readBody(w, r); !ok {
+		if k.body, ok = c.readBody(w, r); !ok {
 			return
 		}
-		contentType = "application/json"
-	}
-
-	primary := c.ring.Owners(key, 1)[0]
-	ctx := r.Context()
-	var cancel func()
-	defer func() {
-		if cancel != nil {
-			cancel()
-		}
-	}()
-	// backoff charges one more attempt to the request's retry budget and
-	// sleeps it off; false means the budget is spent and w is answered.
-	attempt := 0
-	backoff := func(cause error) bool {
-		attempt++
-		if cancel == nil {
-			ctx, cancel = c.retryBudgetCtx(r.Context())
-		}
-		if err := c.retry.Sleep(ctx, attempt, c.jitter); err != nil {
-			c.budgetExhausted(w, cause)
-			return false
-		}
-		return true
-	}
-	var tried uint64
-	var b *backend
-	idx := -1
-	for {
-		if b == nil {
-			if b, idx = c.route(key, tried); b == nil {
-				c.met.noBackend.Add(1)
-				c.writeError(w, http.StatusServiceUnavailable, codeNoBackend, "no live backend for entity")
-				return
-			}
-			tried |= 1 << uint(idx)
-		}
-		if attempt > 0 {
-			b.retries.Add(1)
-		}
-		status, data, retryable, err := c.do(ctx, b, r.Method, path, contentType, body)
-		if err != nil {
-			if !retryable {
-				c.writeError(w, http.StatusBadGateway, codeBackendDown, err.Error())
-				return
-			}
-			// Transport failure: the next backend on the preference list is
-			// the warm replica. Back off first — the owner may only have
-			// blipped, and its replica needs a moment to absorb in-flight
-			// forwards.
-			b = nil
-			if !backoff(err) {
-				return
-			}
-			continue
-		}
-		if r.Method == http.MethodPost && isEntityBusy(status, data) && (attempt > 0 || c.repl.forwarding(key)) {
+		k.resend = func(rep reply, attempt int) error {
 			// The entity is held by the coordinator's own traffic: this
 			// upsert's earlier attempt (sent, then lost on the wire) or a
 			// replica forward of an earlier delta. Either settles shortly:
 			// wait, then resend to the backend that answered. A busy answer
 			// with neither cause is a client racing itself and is relayed.
-			if !backoff(fmt.Errorf("entity %s busy on %s", key, b.url)) {
-				return
+			if isEntityBusy(rep.status, rep.data) && (attempt > 0 || c.repl.forwarding(key)) {
+				return fmt.Errorf("entity %s busy on %s", key, rep.b.url)
 			}
-			continue
+			return nil
 		}
-		c.finishEntity(w, r.Method, key, path, idx, primary, status, data, body)
+	}
+	rep, err := c.send(r.Context(), k)
+	if err != nil {
+		c.writeSendError(w, err, "entity")
 		return
 	}
+	c.finishEntity(w, k, rep)
 }
 
 // isEntityBusy reports whether a backend answer is 409 entity_busy: the
@@ -137,8 +86,9 @@ func isEntityBusy(status int, data []byte) bool {
 // replica forward, deletes enqueue the replica invalidation, and a serving
 // backend that is behind the acknowledged delta count gets the gap stamped
 // onto the response.
-func (c *Coordinator) finishEntity(w http.ResponseWriter, method, key, path string, idx, primary, status int, data, body []byte) {
-	if idx != primary {
+func (c *Coordinator) finishEntity(w http.ResponseWriter, k keyed, rep reply) {
+	method, key, idx, status, data := k.method, k.key, rep.idx, rep.status, rep.data
+	if idx != c.ring.Owners(key, 1)[0] {
 		switch method {
 		case http.MethodGet:
 			c.met.replicaFailoverGet.Add(1)
@@ -151,7 +101,7 @@ func (c *Coordinator) finishEntity(w http.ResponseWriter, method, key, path stri
 	if len(c.backends) > 1 {
 		switch {
 		case method == http.MethodPost && status < 300:
-			if c.repl.onAck(key, idx, replJob{method: http.MethodPost, path: path, body: body, servedIdx: idx}) {
+			if c.repl.onAck(key, idx, replJob{method: http.MethodPost, path: k.path, body: k.body, servedIdx: idx}) {
 				go c.drainRepl(key)
 			}
 		case method == http.MethodDelete && (status < 300 || status == http.StatusNotFound):
@@ -159,7 +109,7 @@ func (c *Coordinator) finishEntity(w http.ResponseWriter, method, key, path stri
 			// have lost the entity (restart) while the replica still holds
 			// it — without the forward, the next failover would resurrect a
 			// deleted entity.
-			if c.repl.onDelete(key, replJob{method: http.MethodDelete, path: path, servedIdx: idx}) {
+			if c.repl.onDelete(key, replJob{method: http.MethodDelete, path: k.path, servedIdx: idx}) {
 				go c.drainRepl(key)
 			}
 		}
@@ -172,13 +122,7 @@ func (c *Coordinator) finishEntity(w http.ResponseWriter, method, key, path stri
 			}
 		}
 	}
-	if status == http.StatusNoContent {
-		w.WriteHeader(status)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(data)
+	relay(w, status, data)
 }
 
 // injectReplicaLag stamps the serving backend's replication gap into a JSON

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"sync"
 )
@@ -166,20 +167,6 @@ func (t *replTracker) pending() int {
 	return n
 }
 
-// replTarget picks where a key's replica lives: the first live backend on
-// the preference list other than the one that served the delta.
-func (c *Coordinator) replTarget(key string, servedIdx int) (*backend, int) {
-	for _, idx := range c.ring.Owners(key, c.ring.Backends()) {
-		if idx == servedIdx {
-			continue
-		}
-		if c.backends[idx].up.Load() {
-			return c.backends[idx], idx
-		}
-	}
-	return nil, -1
-}
-
 // drainRepl forwards a key's queued deltas until the queue empties. One
 // goroutine per key at a time (see onAck), so the replica receives deltas
 // in acknowledgment order. Each forward retries under the unified policy
@@ -202,61 +189,32 @@ func (c *Coordinator) drainRepl(key string) {
 	}
 }
 
-// forwardReplJob sends one replication job, retrying with backoff within
-// the retry budget. Failure is terminal for the job, never for the drain.
+// forwardReplJob sends one replication job through send, never back to
+// the backend that served it, under one retry budget from its start.
+// Failure is terminal for the job, never for the drain.
 func (c *Coordinator) forwardReplJob(key string, job replJob) {
 	ctx, cancel := c.retryBudgetCtx(context.Background())
 	defer cancel()
-	attempt := 0
-	tried := uint64(1) << uint(job.servedIdx) // never replicate back to the server
-	for {
-		var b *backend
-		var idx int
-		// Prefer the canonical replica target; fall back along the
-		// preference list as attempts mark backends down.
-		for _, oidx := range c.ring.Owners(key, c.ring.Backends()) {
-			if tried&(1<<uint(oidx)) != 0 || !c.backends[oidx].up.Load() {
-				continue
+	rep, err := c.send(ctx, keyed{
+		key: key, method: job.method, path: job.path, body: job.body,
+		tried: 1 << uint(job.servedIdx),
+		// A 5xx may be transient ErrBusy contention: resend to the same
+		// backend.
+		resend: func(rep reply, _ int) error {
+			if rep.status >= 500 {
+				return fmt.Errorf("replica %s answered %d", rep.b.url, rep.status)
 			}
-			b, idx = c.backends[oidx], oidx
-			break
-		}
-		if b == nil {
-			c.met.replicaForwardFailures.Add(1)
-			return
-		}
-		contentType := ""
-		if job.method == http.MethodPost {
-			contentType = "application/json"
-		}
-		status, _, retryable, err := c.do(ctx, b, job.method, job.path, contentType, job.body)
-		if err == nil && status < 500 {
-			// 2xx applied the delta, and a DELETE answered 404 already has
-			// nothing to invalidate. Any other 4xx (e.g. 409 racing a
-			// client write) is final for this backend — the log replay
-			// cannot make progress by retrying it.
-			if status < 300 || (job.method == http.MethodDelete && status == http.StatusNotFound) {
-				c.met.replicaForwards.Add(1)
-				c.repl.onReplicated(key, idx, job.method)
-			} else {
-				c.met.replicaForwardFailures.Add(1)
-			}
-			return
-		}
-		if err != nil && !retryable {
-			c.met.replicaForwardFailures.Add(1)
-			return
-		}
-		// Transport failure or 5xx: back off and try the next candidate
-		// (the failed backend joins tried only on transport mark-down; a
-		// 5xx may be transient ErrBusy contention on the same backend).
-		if err != nil {
-			tried |= 1 << uint(idx)
-		}
-		attempt++
-		if serr := c.retry.Sleep(ctx, attempt, c.jitter); serr != nil {
-			c.met.replicaForwardFailures.Add(1)
-			return
-		}
+			return nil
+		},
+	})
+	// 2xx applied the delta, and a DELETE answered 404 already has nothing
+	// to invalidate. Any other 4xx (e.g. 409 racing a client write) is
+	// final for this backend — the log replay cannot make progress by
+	// retrying it.
+	if err == nil && (rep.status < 300 || (job.method == http.MethodDelete && rep.status == http.StatusNotFound)) {
+		c.met.replicaForwards.Add(1)
+		c.repl.onReplicated(key, rep.idx, job.method)
+		return
 	}
+	c.met.replicaForwardFailures.Add(1)
 }

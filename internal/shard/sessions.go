@@ -3,7 +3,6 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 )
@@ -52,60 +51,31 @@ func rewriteSessionBody(data []byte, tag string) []byte {
 }
 
 // handleSessionCreate is POST /v1/session on the coordinator: route the
-// create to the entity's owner (retrying siblings while nothing stateful
-// exists yet), then hand the client a tagged session id that pins every
-// follow-up request to that backend.
+// create to the entity's owner through send (failing over while nothing
+// stateful exists client-side yet), then hand the client a tagged session
+// id that pins every follow-up request to that backend.
 func (c *Coordinator) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	body, ok := c.readBody(w, r)
+	body, key, ok := c.readKeyed(w, r)
 	if !ok {
 		return
 	}
-	var req keyedRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		c.writeError(w, http.StatusBadRequest, codeBadRequest, "bad JSON: "+err.Error())
+	rep, err := c.send(r.Context(), keyed{key: key, method: http.MethodPost, path: "/v1/session", body: body})
+	if err != nil {
+		c.writeSendError(w, err, "session")
 		return
 	}
-	key := req.Entity.ID
-	if key == "" {
-		key = fmt.Sprintf("%016x", hash64(string(body)))
+	if rep.status == http.StatusOK {
+		rep.data = rewriteSessionBody(rep.data, rep.b.tag)
 	}
-	var tried uint64
-	for {
-		b, idx := c.route(key, tried)
-		if b == nil {
-			c.met.noBackend.Add(1)
-			c.writeError(w, http.StatusServiceUnavailable, codeNoBackend, "no live backend for session")
-			return
-		}
-		if tried != 0 {
-			b.retries.Add(1)
-		}
-		tried |= 1 << uint(idx)
-		status, data, retryable, err := c.post(r.Context(), b, "/v1/session", "application/json", body)
-		if err != nil {
-			if retryable {
-				// Nothing stateful exists client-side yet: the abandoned
-				// create (if the backend got that far) expires by TTL.
-				continue
-			}
-			c.writeError(w, http.StatusBadGateway, codeBackendDown, err.Error())
-			return
-		}
-		if status == http.StatusOK {
-			data = rewriteSessionBody(data, b.tag)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		w.Write(data)
-		return
-	}
+	relay(w, rep.status, rep.data)
 }
 
 // handleSessionProxy serves GET/DELETE /v1/session/{id} and POST
 // /v1/session/{id}/answer: strip the backend tag, forward to the pinned
-// backend, retag the response. Sessions are stateful, so there is no
-// sibling to retry on — an unreachable owner answers 502 and the client
-// re-creates (or the operator restores from a snapshot).
+// backend under the per-hop Timeout, retag the response. Sessions are
+// stateful, so there is no sibling to retry on — an unreachable owner
+// answers 502 and the client re-creates (or the operator restores from a
+// snapshot).
 func (c *Coordinator) handleSessionProxy(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	b, inner, ok := c.splitSessionID(id)
@@ -118,50 +88,19 @@ func (c *Coordinator) handleSessionProxy(w http.ResponseWriter, r *http.Request)
 	if strings.HasSuffix(r.URL.Path, "/answer") {
 		path += "/answer"
 	}
-
-	var status int
-	var data []byte
-	switch r.Method {
-	case http.MethodPost:
-		body, ok := c.readBody(w, r)
-		if !ok {
+	var body []byte
+	if r.Method == http.MethodPost {
+		if body, ok = c.readBody(w, r); !ok {
 			return
 		}
-		var err error
-		status, data, _, err = c.post(r.Context(), b, path, "application/json", body)
-		if err != nil {
-			c.writeError(w, http.StatusBadGateway, codeBackendDown, err.Error())
-			return
-		}
-	default: // GET, DELETE
-		b.requests.Add(1)
-		req, err := http.NewRequestWithContext(r.Context(), r.Method, b.url+path, nil)
-		if err != nil {
-			c.writeError(w, http.StatusBadGateway, codeBackendDown, err.Error())
-			return
-		}
-		resp, err := c.cfg.Client.Do(req)
-		if err != nil {
-			c.markDown(b)
-			c.writeError(w, http.StatusBadGateway, codeBackendDown, err.Error())
-			return
-		}
-		defer resp.Body.Close()
-		status = resp.StatusCode
-		if data, err = io.ReadAll(resp.Body); err != nil {
-			c.markDown(b)
-			c.writeError(w, http.StatusBadGateway, codeBackendDown, err.Error())
-			return
-		}
+	}
+	status, data, _, err := c.do(r.Context(), b, r.Method, path, body)
+	if err != nil {
+		c.writeError(w, http.StatusBadGateway, codeBackendDown, err.Error())
+		return
 	}
 	if status == http.StatusOK {
 		data = rewriteSessionBody(data, b.tag)
 	}
-	if status == http.StatusNoContent {
-		w.WriteHeader(status)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(data)
+	relay(w, status, data)
 }
