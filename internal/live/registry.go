@@ -1,19 +1,21 @@
 // Package live keeps per-entity resolution state warm across deltas: the
 // stateful counterpart of the batch layer. A Registry maps client-chosen
 // keys to entities, and every accepted delta is appended to the entity's
-// row-log. The delta kind, fixed by an entity's first delta like its rules
-// and mode, decides which facade holds the state:
+// row-log. Every entity holds a conflictres.LiveSession — a pipeline
+// checked out of its rule set's pool for the entry's lifetime — and the
+// delta kind, fixed by an entity's first delta like its rules and mode,
+// decides only two things:
 //
-//   - Rows deltas (change-data capture) fold new rows and currency edges
-//     into a LiveSession — a pooled pipeline held for the entry's lifetime —
-//     incrementally when the delta is monotone, by automatic re-encode
-//     otherwise. Rows are never rolled back.
-//   - Answers deltas (interactive resolution) fold one round of user
-//     answers into a conflictres.Session (Se ⊕ Ot). The first delta seeds
-//     the session with the entity's rows; a round that contradicts the
-//     specification is rolled back and not logged.
+//   - which step a delta takes. Rows deltas (change-data capture) go
+//     through UpsertSourced and are kept even when they make the entity
+//     invalid. Answers deltas (interactive resolution) go through Answer
+//     (Se ⊕ Ot); a round that contradicts the specification is rolled back
+//     and not logged. An answers entity opens on the rows, sources and
+//     orders of its seed specification.
+//   - whether a suggestion is computed: answers entities carry the next
+//     Fig. 7 request for input, rows entities none.
 //
-// Both facades deduce the one Fig. 5 fixpoint (core.Session.DeduceOrder),
+// Both kinds deduce the one Fig. 5 fixpoint (core.Session.DeduceOrder),
 // so their outcomes match from-scratch resolution of the same rows.
 //
 // The freshly resolved state is copied out before anything else can touch
@@ -118,78 +120,23 @@ type EntityLog struct {
 	Deltas    []Delta
 }
 
-// facade is the resolution state an entry holds, one implementation per
-// delta kind.
-type facade interface {
-	apply(op *Op) (extended bool, err error)
-	fill(res *Result)
-	stats() conflictres.SessionStats
-	close()
-}
-
-// rowsFacade holds a rows entity: deltas are never rolled back.
-type rowsFacade struct{ ls *conflictres.LiveSession }
-
-func (f rowsFacade) apply(op *Op) (bool, error) {
-	return f.ls.UpsertSourced(op.Rows, op.Sources, op.Orders)
-}
-func (f rowsFacade) fill(res *Result)                { res.State = f.ls.State() }
-func (f rowsFacade) stats() conflictres.SessionStats { return f.ls.SessionStats() }
-func (f rowsFacade) close()                          { f.ls.Close() }
-
-// answersFacade holds an answers entity. Its outcome and suggestion are
-// recomputed once per accepted round and shared read-only until the next.
-type answersFacade struct {
-	sess       *conflictres.Session
-	entityID   string
-	outcome    *conflictres.Result
-	suggestion *conflictres.Suggestion
-}
-
-// apply folds one answer round in. Session.Apply rolls a contradicting
-// round back itself, so a rejected round leaves the state as it was.
-func (f *answersFacade) apply(op *Op) (bool, error) {
-	if err := f.sess.Apply(op.Answers); err != nil {
-		return false, err
-	}
-	f.refresh()
-	return true, nil
-}
-
-func (f *answersFacade) refresh() {
-	f.outcome = f.sess.Result()
-	f.suggestion = nil
-	if !f.outcome.Valid || f.outcome.Complete() {
-		return
-	}
-	if sug, err := f.sess.Suggest(); err == nil && len(sug.Attrs) > 0 {
-		f.suggestion = &sug
-	}
-}
-
-func (f *answersFacade) fill(res *Result) {
-	res.Outcome, res.Suggestion, res.EntityID = f.outcome, f.suggestion, f.entityID
-}
-func (f *answersFacade) stats() conflictres.SessionStats { return f.sess.Stats() }
-func (f *answersFacade) close()                          {}
-
-// open builds the facade for a created entity, returning it with the
+// open builds the live session of a created entity, returning it with the
 // entity's first delta.
-func open(rules *conflictres.RuleSet, op *Op) (facade, Delta, error) {
-	if op.Kind == Rows {
-		ls, err := rules.NewLiveSessionMode(op.Rows, op.Sources, op.Orders, op.Mode)
-		if err != nil {
-			return nil, Delta{}, err
-		}
-		return rowsFacade{ls}, logged(op), nil
+func open(rules *conflictres.RuleSet, op *Op) (*conflictres.LiveSession, Delta, error) {
+	rows, sources, orders := op.Rows, op.Sources, op.Orders
+	var d Delta
+	if op.Kind == Answers {
+		d = seedDelta(op.Seed, op.EntityID)
+		rows, sources, orders = d.Rows, d.Sources, d.Orders
 	}
-	sess, err := conflictres.NewSessionMode(op.Seed, op.Mode)
+	ls, err := rules.NewLiveSessionMode(rows, sources, orders, op.Mode)
 	if err != nil {
 		return nil, Delta{}, err
 	}
-	f := &answersFacade{sess: sess, entityID: op.EntityID}
-	f.refresh()
-	return f, seedDelta(op.Seed, op.EntityID), nil
+	if op.Kind == Rows {
+		d = logged(op)
+	}
+	return ls, d, nil
 }
 
 // logged copies op's delta for the row-log: copies, not aliases — the
@@ -228,10 +175,10 @@ func sub(after, before conflictres.SessionStats) conflictres.SessionStats {
 	}
 }
 
-// entry is one live entity. mu serializes every touch of f — deltas, state
+// entry is one live entity. mu serializes every touch of ls — deltas, state
 // reads, and the close path (eviction/expiry/shutdown) — so a pooled
 // pipeline is never released while an extend is in flight. closed flips
-// exactly once, under mu, when the facade closes. key, kind and rules are
+// exactly once, under mu, when the session closes. key, kind and rules are
 // fixed when the entry is inserted.
 type entry struct {
 	key       string
@@ -239,12 +186,17 @@ type entry struct {
 	rulesHash string
 	rules     *conflictres.RuleSet
 
-	mu        sync.Mutex
-	closed    bool
-	f         facade
-	rulesWire []byte                     // creation-time rules blob, for snapshots
-	mode      conflictres.ResolutionMode // creation-time mode, for snapshots
-	log       []Delta                    // row-log: every accepted delta in order
+	mu     sync.Mutex
+	closed bool
+	ls     *conflictres.LiveSession
+	// entityID and suggestion belong to answers entities: the seed's
+	// EntityID, and the next request for input (nil when complete or
+	// invalid), recomputed once per accepted round and shared read-only.
+	entityID   string
+	suggestion *conflictres.Suggestion
+	rulesWire  []byte                     // creation-time rules blob, for snapshots
+	mode       conflictres.ResolutionMode // creation-time mode, for snapshots
+	log        []Delta                    // row-log: every accepted delta in order
 
 	lastUse time.Time // TTL clock, guarded by the registry mutex
 }
@@ -266,13 +218,12 @@ type Result struct {
 	// Schema is the schema of the rule set the entity is bound to, for
 	// encoding the state onto the wire.
 	Schema *conflictres.Schema
-	// State is a rows entity's independent snapshot (see
+	// State is the entity's independent snapshot (see
 	// conflictres.LiveState).
 	State conflictres.LiveState
-	// Outcome is an answers entity's resolution outcome, and Suggestion its
-	// next request for input (nil when complete or invalid). Both are
-	// shared read-only: the next round replaces them rather than mutating.
-	Outcome    *conflictres.Result
+	// Suggestion is an answers entity's next request for input (nil when
+	// complete or invalid, and always for rows entities). It is shared
+	// read-only: the next round replaces it rather than mutating.
 	Suggestion *conflictres.Suggestion
 	// EntityID is an answers entity's seed EntityID.
 	EntityID string
@@ -361,18 +312,19 @@ func (r *Registry) Upsert(key string, rules *conflictres.RuleSet, rulesHash stri
 		res := Result{Key: key, Created: created}
 		var d Delta
 		if created {
-			if e.f, d, err = open(rules, &op); err != nil {
+			if e.ls, d, err = open(rules, &op); err != nil {
 				e.mu.Unlock()
 				r.drop(key, e)
 				return Result{}, err
 			}
 			e.mode = op.Mode
+			e.entityID = op.EntityID
 			e.rulesWire = append([]byte(nil), op.RulesWire...)
-			res.Stats = e.f.stats()
+			res.Stats = e.ls.SessionStats()
 		} else {
-			before := e.f.stats()
-			extended, err := e.f.apply(&op)
-			res.Stats = sub(e.f.stats(), before)
+			before := e.ls.SessionStats()
+			extended, err := e.apply(&op)
+			res.Stats = sub(e.ls.SessionStats(), before)
 			if err != nil {
 				e.mu.Unlock()
 				return res, err
@@ -387,15 +339,43 @@ func (r *Registry) Upsert(key string, rules *conflictres.RuleSet, rulesHash stri
 		}
 		e.log = append(e.log, d)
 		e.fill(&res)
+		if e.kind == Answers {
+			e.suggest(res.State)
+			res.Suggestion = e.suggestion
+		}
 		e.mu.Unlock()
 		return res, nil
+	}
+}
+
+// apply folds op's delta into an existing entity, reporting whether it was
+// applied incrementally. Answer rounds always count as incremental, and a
+// contradicting one is rolled back by Answer itself, leaving the state as
+// it was. Callers hold e.mu.
+func (e *entry) apply(op *Op) (bool, error) {
+	if e.kind == Rows {
+		return e.ls.UpsertSourced(op.Rows, op.Sources, op.Orders)
+	}
+	return true, e.ls.Answer(op.Answers)
+}
+
+// suggest recomputes an answers entity's next request for input from st,
+// its state after an accepted delta. Callers hold e.mu.
+func (e *entry) suggest(st conflictres.LiveState) {
+	e.suggestion = nil
+	if !st.Valid || st.Complete() {
+		return
+	}
+	if sug, err := e.ls.Suggest(); err == nil && len(sug.Attrs) > 0 {
+		e.suggestion = &sug
 	}
 }
 
 // fill copies the entry's current state into res. Callers hold e.mu.
 func (e *entry) fill(res *Result) {
 	res.Schema = e.rules.Schema()
-	e.f.fill(res)
+	res.State = e.ls.State()
+	res.Suggestion, res.EntityID = e.suggestion, e.entityID
 }
 
 // Snapshot walks every live entity, handing each one's replayable log to
@@ -476,12 +456,13 @@ func (r *Registry) Spec(key string) (*conflictres.Spec, bool, error) {
 			e.mu.Unlock()
 			continue
 		}
-		f, ok := e.f.(rowsFacade)
-		e.mu.Unlock()
-		if !ok {
+		if e.kind != Rows {
+			e.mu.Unlock()
 			return nil, true, ErrMismatch
 		}
-		return f.ls.Spec(), true, nil
+		spec := e.ls.Spec()
+		e.mu.Unlock()
+		return spec, true, nil
 	}
 }
 
@@ -526,7 +507,7 @@ func (r *Registry) Remove(key string) bool {
 // locked entry plus any eviction victims are returned for the caller to use
 // and close outside the lock. A created placeholder is returned already
 // locked, so concurrent requests see ErrBusy while the caller builds its
-// facade. With wait set, a busy entry whose kind readsWait is waited on
+// session. With wait set, a busy entry whose kind readsWait is waited on
 // instead of answering ErrBusy.
 func (r *Registry) checkout(key string, fresh *entry, wait bool) (e *entry, victims []*entry, err error) {
 	r.mu.Lock()
@@ -599,7 +580,7 @@ func (r *Registry) Discard(key string) {
 	closeAll([]*entry{e})
 }
 
-// drop removes a placeholder whose facade failed to build.
+// drop removes a placeholder whose session failed to open.
 func (r *Registry) drop(key string, e *entry) {
 	r.mu.Lock()
 	if el, ok := r.m[key]; ok && el.Value.(*entry) == e {
@@ -618,8 +599,8 @@ func closeAll(es []*entry) {
 		e.mu.Lock()
 		if !e.closed {
 			e.closed = true
-			if e.f != nil {
-				e.f.close()
+			if e.ls != nil {
+				e.ls.Close()
 			}
 		}
 		e.mu.Unlock()

@@ -79,16 +79,23 @@ func encodeEntityState(key string, sch *conflictres.Schema, st conflictres.LiveS
 	if !st.Valid {
 		return out
 	}
-	out.Resolved = make(map[string]any, len(st.Resolved))
-	for a, v := range st.Resolved {
-		out.Resolved[sch.Name(a)] = encodeValue(v)
-	}
-	out.Tuple = make([]any, len(st.Tuple))
-	for i, v := range st.Tuple {
-		out.Tuple[i] = encodeValue(v)
-	}
-	out.Complete = len(st.Resolved) == sch.Len()
+	out.Resolved, out.Tuple = encodeResolved(sch, st)
+	out.Complete = st.Complete()
 	return out
+}
+
+// encodeResolved renders a valid state's resolved values, keyed by
+// attribute name, and its current tuple.
+func encodeResolved(sch *conflictres.Schema, st conflictres.LiveState) (map[string]any, []any) {
+	resolved := make(map[string]any, len(st.Resolved))
+	for a, v := range st.Resolved {
+		resolved[sch.Name(a)] = encodeValue(v)
+	}
+	tuple := make([]any, len(st.Tuple))
+	for i, v := range st.Tuple {
+		tuple[i] = encodeValue(v)
+	}
+	return resolved, tuple
 }
 
 // decodeRows converts wire rows into bound tuples against the rule set's

@@ -94,30 +94,23 @@ func encodeSuggestion(sch *conflictres.Schema, sug conflictres.Suggestion) *sugg
 
 // encodeSessionState renders an answers entity's registry state on the wire.
 func encodeSessionState(id string, res live.Result) *sessionStateJSON {
-	sch, out := res.Schema, res.Outcome
-	st := &sessionStateJSON{
+	st := res.State
+	out := &sessionStateJSON{
 		Session:      id,
 		EntityID:     res.EntityID,
-		Valid:        out.Valid,
-		Rounds:       out.Rounds,
-		Interactions: out.Interactions,
+		Valid:        st.Valid,
+		Rounds:       st.Interactions + 1,
+		Interactions: st.Interactions,
 	}
-	if !out.Valid {
-		return st
+	if !st.Valid {
+		return out
 	}
-	st.Resolved = make(map[string]any, len(out.Resolved))
-	for a, v := range out.Resolved {
-		st.Resolved[sch.Name(a)] = encodeValue(v)
-	}
-	st.Tuple = make([]any, len(out.Tuple))
-	for i, v := range out.Tuple {
-		st.Tuple[i] = encodeValue(v)
-	}
-	st.Complete = out.Complete()
+	out.Resolved, out.Tuple = encodeResolved(res.Schema, st)
+	out.Complete = st.Complete()
 	if res.Suggestion != nil {
-		st.Suggestion = encodeSuggestion(sch, *res.Suggestion)
+		out.Suggestion = encodeSuggestion(res.Schema, *res.Suggestion)
 	}
-	return st
+	return out
 }
 
 // newSessionID returns an opaque, unguessable session id.

@@ -18,6 +18,7 @@ import (
 	"conflictres/internal/fixtures"
 	"conflictres/internal/live"
 	"conflictres/internal/model"
+	"conflictres/internal/reference"
 )
 
 // specWire renders a model-level specification as a session-create request
@@ -230,11 +231,11 @@ func TestSessionDifferentialHTTPvsInProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(tc.answers) > 0 {
-				conv := make(map[string]conflictres.Value, len(tc.answers))
-				for k, v := range tc.answers {
-					conv[k] = conflictres.String(v.(string))
-				}
+			conv := make(map[string]conflictres.Value, len(tc.answers))
+			for k, v := range tc.answers {
+				conv[k] = conflictres.String(v.(string))
+			}
+			if len(conv) > 0 {
 				if err := sess.Apply(conv); err != nil {
 					t.Fatal(err)
 				}
@@ -248,15 +249,45 @@ func TestSessionDifferentialHTTPvsInProcess(t *testing.T) {
 			}
 			// Compare resolved values through a JSON round-trip so numeric
 			// types normalize the same way on both sides.
-			want := map[string]any{}
-			for a, v := range res.Resolved {
-				want[sch.Name(a)] = v.AsJSON()
+			norm := func(resolved map[conflictres.Attr]conflictres.Value) map[string]any {
+				want := map[string]any{}
+				for a, v := range resolved {
+					want[sch.Name(a)] = v.AsJSON()
+				}
+				wj, _ := json.Marshal(want)
+				var wantNorm map[string]any
+				json.Unmarshal(wj, &wantNorm)
+				return wantNorm
 			}
-			wj, _ := json.Marshal(want)
-			var wantNorm map[string]any
-			json.Unmarshal(wj, &wantNorm)
-			if !reflect.DeepEqual(state.Resolved, wantNorm) {
-				t.Fatalf("HTTP resolved %v, in-process %v", state.Resolved, wantNorm)
+			if want := norm(res.Resolved); !reflect.DeepEqual(state.Resolved, want) {
+				t.Fatalf("HTTP resolved %v, in-process %v", state.Resolved, want)
+			}
+
+			// HTTP and in-process sessions share the stateful facade, so
+			// both are also checked against an independent path: the
+			// one-call Resolve loop, with an oracle scripted to give the
+			// same answers in its first round of interaction.
+			asked := false
+			ref, err := conflictres.Resolve(spec, conflictres.OracleFunc(func(conflictres.Suggestion) map[conflictres.Attr]conflictres.Value {
+				if asked {
+					return nil
+				}
+				asked = true
+				out := make(map[conflictres.Attr]conflictres.Value, len(conv))
+				for name, v := range conv {
+					out[sch.MustAttr(name)] = v
+				}
+				return out
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if state.Valid != ref.Valid || state.Rounds != ref.Rounds || state.Interactions != ref.Interactions {
+				t.Fatalf("HTTP %+v vs Resolve valid=%v rounds=%d interactions=%d",
+					state, ref.Valid, ref.Rounds, ref.Interactions)
+			}
+			if want := norm(ref.Resolved); !reflect.DeepEqual(state.Resolved, want) {
+				t.Fatalf("HTTP resolved %v, Resolve %v", state.Resolved, want)
 			}
 		})
 	}
@@ -284,6 +315,71 @@ func TestSessionContradictionRollsBack(t *testing.T) {
 	next, resp, data := postAnswer(t, ts.URL, state.Session, map[string]any{"status": "retired"})
 	if resp.StatusCode != http.StatusOK || !next.Complete {
 		t.Fatalf("recovery failed: status %d, %s", resp.StatusCode, data)
+	}
+}
+
+// TestSessionRollbackPipelineReuse: a session's pipeline comes from the
+// rule set's pool and goes back to it on DELETE, after a rolled-back and an
+// accepted answer. A stateless resolve of another entity under the same
+// rules that takes it back out of the pool must match a from-scratch
+// resolution. The pool is a sync.Pool, which need not hand the pipeline
+// back on every try, so the cycle repeats until a resolve is served from it.
+func TestSessionRollbackPipelineReuse(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheSize: -1})
+	scratch, err := reference.FromScratch(fixtures.EdithSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := fixtures.PersonSchema()
+	want := resultJSON{Valid: scratch.Valid, Resolved: map[string]any{}}
+	for a, v := range scratch.Resolved {
+		want.Resolved[sch.Name(a)] = v.AsJSON()
+	}
+	for _, v := range scratch.Tuple {
+		want.Tuple = append(want.Tuple, v.AsJSON())
+	}
+	wj, _ := json.Marshal(want)
+	var wantNorm resultJSON
+	json.Unmarshal(wj, &wantNorm)
+
+	reused := false
+	for i := 0; i < 50 && !reused; i++ {
+		state, resp := createSession(t, ts.URL, wireFromSpec(t, fixtures.GeorgeSpec(), "g"))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("create status %d", resp.StatusCode)
+		}
+		if _, resp, data := postAnswer(t, ts.URL, state.Session, map[string]any{"status": "working"}); resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("contradicting answer: status %d: %s", resp.StatusCode, data)
+		}
+		if next, resp, data := postAnswer(t, ts.URL, state.Session, map[string]any{"status": "retired"}); resp.StatusCode != http.StatusOK || !next.Complete {
+			t.Fatalf("accepted answer: status %d: %s", resp.StatusCode, data)
+		}
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/session/"+state.Session, nil)
+		dresp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dresp.Body.Close()
+		if dresp.StatusCode != http.StatusNoContent {
+			t.Fatalf("delete status %d", dresp.StatusCode)
+		}
+
+		hits := conflictres.PoolCounters().Hits
+		resp, data := postJSON(t, ts.URL+"/v1/resolve", wireFromSpec(t, fixtures.EdithSpec(), "e"))
+		reused = conflictres.PoolCounters().Hits > hits
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("resolve status %d: %s", resp.StatusCode, data)
+		}
+		var got resultJSON
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Valid != wantNorm.Valid || !reflect.DeepEqual(got.Resolved, wantNorm.Resolved) || !reflect.DeepEqual(got.Tuple, wantNorm.Tuple) {
+			t.Fatalf("round %d (pipeline reused: %v): resolve %s, from scratch %s", i, reused, data, wj)
+		}
+	}
+	if !reused {
+		t.Fatal("no resolve took a pipeline out of the pool in 50 rounds")
 	}
 }
 

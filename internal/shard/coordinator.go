@@ -336,6 +336,19 @@ func (c *Coordinator) markDown(b *backend) {
 	b.up.Store(false)
 }
 
+// blame marks b down after a transport error on a hop made for a caller
+// whose context is ctx, and reports whether it did. A hop whose caller gave
+// up — a client timeout or disconnect cancels ctx, and the hop with it —
+// failed through no fault of the backend, which stays up. A per-hop Timeout
+// expiry leaves ctx live, so it still marks the backend down.
+func (c *Coordinator) blame(ctx context.Context, b *backend) bool {
+	if ctx.Err() != nil {
+		return false
+	}
+	c.markDown(b)
+	return true
+}
+
 // route picks the first live, untried backend along key's preference list.
 // tried is a bitmask of backend indices already attempted for this piece of
 // work (the fleet is capped at 64 backends by this representation).
@@ -377,7 +390,8 @@ func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, 
 // do sends one request to backend b under the per-hop Timeout and returns
 // the full response. A non-nil body goes out as JSON; nil sends no payload.
 // Transport errors (request or body read) mark the backend down and report
-// retryable.
+// retryable, unless the caller's ctx is done: then the caller's error comes
+// back, not retryable, and the backend stays up.
 func (c *Coordinator) do(ctx context.Context, b *backend, method, path string, body []byte) (status int, respBody []byte, retryable bool, err error) {
 	b.requests.Add(1)
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
@@ -394,17 +408,17 @@ func (c *Coordinator) do(ctx context.Context, b *backend, method, path string, b
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		c.markDown(b)
-		return 0, nil, true, err
+	if err == nil {
+		defer resp.Body.Close()
+		var data []byte
+		if data, err = io.ReadAll(resp.Body); err == nil {
+			return resp.StatusCode, data, false, nil
+		}
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		c.markDown(b)
-		return 0, nil, true, err
+	if !c.blame(ctx, b) {
+		return 0, nil, false, ctx.Err()
 	}
-	return resp.StatusCode, data, false, nil
+	return 0, nil, true, err
 }
 
 // retryBudgetCtx derives the per-request failover budget: attempts and
@@ -482,6 +496,10 @@ func (c *Coordinator) send(ctx context.Context, k keyed) (reply, error) {
 				return rep, nil
 			}
 		case !retryable:
+			if attempt > 0 && parent.Err() == nil {
+				// The retry budget, not the caller, ran out mid-attempt.
+				return reply{}, &budgetError{cause: err}
+			}
 			return reply{}, err
 		default:
 			tried |= 1 << uint(rep.idx)

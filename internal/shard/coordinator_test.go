@@ -669,6 +669,55 @@ func TestShardSessionFollowUpTimeout(t *testing.T) {
 	}
 }
 
+// TestShardClientCancelKeepsBackendUp: a client that gives up before a
+// slow but healthy backend answers must not cost that backend its place on
+// the live set. The hop dies with the client's request, which is no
+// transport failure of the backend's.
+func TestShardClientCancelKeepsBackendUp(t *testing.T) {
+	s := server.New(server.Config{})
+	t.Cleanup(s.Close)
+	h := s.Handler()
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			time.Sleep(500 * time.Millisecond)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(slow.Close)
+
+	c, err := New(Config{Backends: []string{slow.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	handled := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		c.Handler().ServeHTTP(w, r)
+		if r.URL.Path == "/v1/resolve" {
+			handled <- struct{}{}
+		}
+	}))
+	t.Cleanup(ts.Close)
+
+	client := &http.Client{Timeout: 50 * time.Millisecond}
+	if resp, err := client.Post(ts.URL+"/v1/resolve", "application/json", bytes.NewReader(edithResolveBody(t, 0))); err == nil {
+		resp.Body.Close()
+		t.Fatalf("the client should have given up, got %d", resp.StatusCode)
+	}
+	select {
+	case <-handled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the coordinator never finished the abandoned resolve")
+	}
+	if !c.backends[0].up.Load() {
+		t.Fatal("a client giving up marked a healthy backend down")
+	}
+	want := fmt.Sprintf("crshard_backend_errors_total{backend=%q} 0\n", slow.URL)
+	if m := getBody(t, ts.URL+"/metrics"); !strings.Contains(m, want) {
+		t.Fatalf("a client giving up counted a backend error; want %q in:\n%s", want, m)
+	}
+}
+
 func TestShardSessionCreateRetryBudget(t *testing.T) {
 	var urls []string
 	for i := 0; i < 2; i++ {

@@ -312,7 +312,7 @@ func (c *Coordinator) streamPartition(ctx context.Context, headerLine []byte, b 
 	req.Header.Set("Content-Type", "application/x-ndjson")
 	resp, err := c.cfg.Client.Do(req)
 	if err != nil {
-		c.markDown(b)
+		c.blame(ctx, b)
 		return false, emitted
 	}
 	defer resp.Body.Close()
@@ -384,7 +384,7 @@ func (c *Coordinator) streamPartition(ctx context.Context, headerLine []byte, b 
 		em.emitRaw(line)
 	}
 	if err := rs.Err(); err != nil {
-		c.markDown(b)
+		c.blame(ctx, b)
 		return false, emitted
 	}
 	return true, emitted

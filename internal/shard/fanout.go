@@ -275,7 +275,7 @@ func (c *Coordinator) sendSubBatch(ctx context.Context, headerLine []byte, bIdx 
 	req.Header.Set("Content-Type", "application/x-ndjson")
 	resp, err := c.cfg.Client.Do(req)
 	if err != nil {
-		c.markDown(b)
+		c.blame(ctx, b)
 		release()
 		c.rerouteJobs(ctx, headerLine, bIdx, jobs, em, sems)
 		return
@@ -336,7 +336,7 @@ func (c *Coordinator) sendSubBatch(ctx context.Context, headerLine []byte, bIdx 
 	if err := rs.Err(); err != nil {
 		// The stream died under us: the backend (or the path to it) is
 		// gone. Everything unanswered moves to the next owner.
-		c.markDown(b)
+		c.blame(ctx, b)
 		c.rerouteJobs(ctx, headerLine, bIdx, unanswered, em, sems)
 		return
 	}

@@ -1,6 +1,7 @@
 package conflictres
 
 import (
+	"errors"
 	"fmt"
 
 	"conflictres/internal/core"
@@ -32,12 +33,17 @@ type LiveState struct {
 	Resolved map[Attr]Value
 	// Tuple is the resolved current tuple (null where undetermined).
 	Tuple Tuple
-	// Extends counts upsert deltas applied incrementally to the loaded
-	// formula; Rebuilds counts non-monotone deltas that forced a full
-	// re-encode (the initial build is not counted).
+	// Interactions counts the answer rounds accepted so far.
+	Interactions int
+	// Extends counts deltas applied incrementally to the loaded formula;
+	// Rebuilds counts full re-encodes — non-monotone deltas and answer
+	// rollbacks (the initial build is not counted).
 	Extends  int
 	Rebuilds int
 }
+
+// Complete reports whether every attribute has a determined true value.
+func (st LiveState) Complete() bool { return st.Valid && len(st.Resolved) == len(st.Tuple) }
 
 func (st LiveState) clone() LiveState {
 	out := st
@@ -51,27 +57,40 @@ func (st LiveState) clone() LiveState {
 	return out
 }
 
-// LiveSession is the change-data-capture counterpart of Resolve: it keeps
-// one entity's resolution state warm across row arrivals. Each Upsert folds
-// the new rows into the loaded formula — incrementally when the delta is
-// monotone, via automatic re-encode otherwise — and recomputes the resolved
-// state, so consumers always read a result consistent with every row seen
-// so far.
+// LiveSession keeps one entity's resolution state warm across deltas: the
+// stateful counterpart of Resolve. Both kinds of delta of the framework
+// (Fig. 4) extend Se on the one loaded formula and then read the Fig. 5
+// fixpoint. Upsert folds newly arrived rows in — incrementally when the
+// delta is monotone, via automatic re-encode otherwise — and keeps rows
+// that make the entity invalid. Answer folds a user's validated values in
+// (Se ⊕ Ot) and rolls a contradicting round back. After either, the
+// resolved state is recomputed, so consumers always read a result
+// consistent with every delta accepted so far.
 //
 // A LiveSession holds a pooled pipeline (encoding skeleton + arena solver)
 // checked out of its rule set for its whole lifetime; Close returns it.
 // Sessions are not safe for concurrent use; the live registry serializes
-// access per entity.
+// access per entity, and Session wraps one in a mutex.
 type LiveSession struct {
-	rs    *RuleSet
-	pl    *pipeline
-	sess  *core.Session
+	rs   *RuleSet
+	pl   *pipeline
+	sess *core.Session
+	// prior accumulates the counters of core sessions discarded by Answer's
+	// rollback, so SessionStats reports the whole lifetime's work.
+	prior SessionStats
 	state LiveState
+	// od and deduced are the derived order and the deduced true values of
+	// the last refresh, kept for Suggest. deduced differs from
+	// state.Resolved only where a degenerate strategy picked the values.
+	od      *core.OrderSet
+	deduced map[Attr]Value
 	// mode is the sticky resolution mode fixed at creation; its trust
 	// overlay is merged into the session's specification and refresh applies
 	// its strategy.
 	mode ResolutionMode
 }
+
+var errLiveClosed = errors.New("conflictres: live session is closed")
 
 // NewLiveSession opens a live session seeded with the entity's initial rows
 // (at least one) and optional currency edges.
@@ -107,10 +126,17 @@ func (rs *RuleSet) NewLiveSessionMode(rows []Tuple, sources []string, orders []L
 	m := model.NewCompiledSpec(model.NewTemporal(in), rs.sigma, rs.gamma)
 	m.Trust = rs.trust
 	m.TI.Edges = edges
+	return rs.openLive(m, mode)
+}
+
+// openLive validates the specification, merges the mode's trust overlay
+// into it and loads it on a pipeline checked out of the rule set's pool.
+func (rs *RuleSet) openLive(m *model.Spec, mode ResolutionMode) (*LiveSession, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if m, err = mode.effectiveSpec(m); err != nil {
+	m, err := mode.effectiveSpec(m)
+	if err != nil {
 		return nil, err
 	}
 	pl := rs.acquirePipeline()
@@ -137,7 +163,7 @@ func (ls *LiveSession) Upsert(rows []Tuple, orders []LiveOrder) (bool, error) {
 // incremental and the rebuild extension path.
 func (ls *LiveSession) UpsertSourced(rows []Tuple, sources []string, orders []LiveOrder) (bool, error) {
 	if ls.sess == nil {
-		return false, fmt.Errorf("conflictres: live session is closed")
+		return false, errLiveClosed
 	}
 	if sources != nil && len(sources) != len(rows) {
 		return false, fmt.Errorf("conflictres: %d sources for %d rows", len(sources), len(rows))
@@ -170,6 +196,55 @@ func (ls *LiveSession) UpsertSourced(rows []Tuple, sources []string, orders []Li
 	return extended, nil
 }
 
+// Answer folds one round of user-validated true values, keyed by attribute
+// name, into the session (Se ⊕ Ot) and recomputes the resolved state.
+// Values outside the data's active domain are allowed. Unlike rows, a round
+// that contradicts the specification is not kept: the session rolls back to
+// its last consistent state (the framework's "revise" branch) by rebuilding
+// the previous specification on its own pipeline, and an error is returned.
+func (ls *LiveSession) Answer(answers map[string]Value) error {
+	if ls.sess == nil {
+		return errLiveClosed
+	}
+	if len(answers) == 0 {
+		return nil
+	}
+	conv := make(map[Attr]Value, len(answers))
+	for name, v := range answers {
+		a, ok := ls.rs.schema.Attr(name)
+		if !ok {
+			return fmt.Errorf("conflictres: unknown attribute %q", name)
+		}
+		conv[a] = v
+	}
+	prev := ls.sess.Spec() // Extend clones; prev stays the consistent state
+	ls.sess.Extend(conv)
+	if ok, _ := ls.sess.IsValid(); !ok {
+		ls.prior = addStats(ls.prior, ls.sess.Stats())
+		ls.sess = ls.pl.p.NewSession(prev)
+		// The rebuilt encoding may number the domains differently, so the
+		// order kept for Suggest is derived again.
+		ls.refresh()
+		return fmt.Errorf("conflictres: input contradicts the specification; rolled back")
+	}
+	ls.state.Interactions++
+	ls.refresh()
+	return nil
+}
+
+// Suggest computes the attribute set the user should confirm next, with
+// candidate values (Algorithm Suggest, Fig. 7), from the order derived by
+// the last refresh. It fails when the current state is invalid.
+func (ls *LiveSession) Suggest() (Suggestion, error) {
+	if ls.sess == nil {
+		return Suggestion{}, errLiveClosed
+	}
+	if !ls.state.Valid {
+		return Suggestion{}, fmt.Errorf("conflictres: specification is invalid")
+	}
+	return ls.sess.Suggest(ls.od, ls.deduced), nil
+}
+
 // State returns the resolution snapshot for all rows seen so far. The
 // snapshot is an independent copy; it stays stable across later upserts and
 // across Close.
@@ -189,12 +264,21 @@ func (ls *LiveSession) Spec() *Spec {
 }
 
 // SessionStats exposes the underlying engine counters (rebuilds include the
-// initial build).
+// initial build), including the work of sessions discarded by Answer's
+// rollback.
 func (ls *LiveSession) SessionStats() SessionStats {
 	if ls.sess == nil {
 		return SessionStats{}
 	}
-	return ls.sess.Stats()
+	return addStats(ls.prior, ls.sess.Stats())
+}
+
+func addStats(a, b SessionStats) SessionStats {
+	a.Rebuilds += b.Rebuilds
+	a.Extends += b.Extends
+	a.Solves += b.Solves
+	a.ClausesLoaded += b.ClausesLoaded
+	return a
 }
 
 // Close returns the session's pipeline to the rule set's pool. The last
@@ -217,30 +301,35 @@ func (ls *LiveSession) Close() {
 // one a from-scratch resolution computes, whatever the session's earlier
 // searches learnt (see core.Session.DeduceOrder).
 func (ls *LiveSession) refresh() {
-	st := LiveState{Rows: ls.sess.Spec().TI.Inst.Len()}
-	stats := ls.sess.Stats()
-	st.Extends = stats.Extends
-	st.Rebuilds = stats.Rebuilds - 1 // the initial build is not a fallback
+	stats := ls.SessionStats()
+	st := LiveState{
+		Rows:         ls.sess.Spec().TI.Inst.Len(),
+		Interactions: ls.state.Interactions,
+		Extends:      stats.Extends,
+		Rebuilds:     stats.Rebuilds - 1, // the initial build is not a fallback
+	}
+	ls.od, ls.deduced = nil, nil
 	if ok, _ := ls.sess.IsValid(); ok {
-		if fr, ok := fastResolve(ls.sess.Spec(), ls.mode.Strategy); ok {
-			// Degenerate strategy on a constraint-free entity: closed-form
-			// pick, no deduction. fastResolve builds fresh maps and tuples,
-			// so the snapshot cannot alias encoding storage.
-			st.Valid = true
-			st.Resolved = fr.Resolved
-			st.Tuple = fr.Tuple
-		} else if od, ok := ls.sess.DeduceOrder(); ok {
+		if od, ok := ls.sess.DeduceOrder(); ok {
 			st.Valid = true
 			enc := ls.sess.Encoding()
-			st.Resolved = core.TrueValues(enc, od)
-			st.Tuple = relation.NewTuple(ls.rs.schema)
-			for a, v := range st.Resolved {
-				st.Tuple[a] = v
-			}
-			// Trust preference layer: fill still-open attributes of the
-			// current tuple from the most trusted surviving candidates.
-			for a, v := range core.TrustFill(enc, od, st.Resolved) {
-				st.Tuple[a] = v
+			ls.od, ls.deduced = od, core.TrueValues(enc, od)
+			if fr, ok := fastResolve(ls.sess.Spec(), ls.mode.Strategy); ok {
+				// Degenerate strategy on a constraint-free entity: closed-form
+				// pick. fastResolve builds fresh maps and tuples, so the
+				// snapshot cannot alias encoding storage.
+				st.Resolved, st.Tuple = fr.Resolved, fr.Tuple
+			} else {
+				st.Resolved = ls.deduced
+				st.Tuple = relation.NewTuple(ls.rs.schema)
+				for a, v := range st.Resolved {
+					st.Tuple[a] = v
+				}
+				// Trust preference layer: fill still-open attributes of the
+				// current tuple from the most trusted surviving candidates.
+				for a, v := range core.TrustFill(enc, od, st.Resolved) {
+					st.Tuple[a] = v
+				}
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"conflictres/internal/constraint"
-	"conflictres/internal/core"
 	"conflictres/internal/model"
 	"conflictres/internal/relation"
 )
@@ -85,7 +84,7 @@ func ParseStrategy(name string) (Strategy, error) {
 // ResolutionMode consolidates the resolution knobs every resolve path shares:
 // the strategy and an optional trust-mapping overlay. It is embedded in
 // Options (and through it BatchOptions), in DatasetOptions, and accepted by
-// NewSessionWithMode and NewLiveSessionWithMode; the HTTP endpoints accept it
+// NewSessionMode and NewLiveSessionMode; the HTTP endpoints accept it
 // as a "mode" field and crresolve/crctl as a -mode flag. The zero value is
 // the SAT strategy with the specification's own trust mapping — exactly the
 // pre-mode behaviour.
@@ -223,17 +222,4 @@ func fastPick(in *relation.Instance, trust *constraint.TrustTable, a relation.At
 		return out
 	}
 	return relation.Null
-}
-
-// trustFillTuple applies the trust preference layer to a session-style
-// result: unresolved attributes of the current tuple are filled with the most
-// trusted surviving candidates (a preference only, so Resolved is untouched).
-// With uniform trust or an unsourced instance it is a no-op.
-func trustFillTuple(sess *core.Session, od *core.OrderSet, res *Result) {
-	if res == nil || !res.Valid || res.Tuple == nil {
-		return
-	}
-	for a, v := range core.TrustFill(sess.Encoding(), od, res.Resolved) {
-		res.Tuple[a] = v
-	}
 }

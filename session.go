@@ -3,10 +3,6 @@ package conflictres
 import (
 	"fmt"
 	"sync"
-
-	"conflictres/internal/core"
-	"conflictres/internal/encode"
-	"conflictres/internal/relation"
 )
 
 // Session drives the interactive resolution framework (Fig. 4) step by
@@ -14,6 +10,10 @@ import (
 // entity's whole lifetime: validity, deduction and suggestion all reuse the
 // same learned-clause state, and each Apply folds the user's answers in as
 // Se ⊕ Ot — incremental unit-clause additions instead of a re-encode.
+//
+// Session is a mutex around a LiveSession fed with answers only: it opens
+// on a rule set of the specification's own compiled constraints, so it
+// runs on a pooled pipeline like every other stateful path.
 //
 // Resolve remains the one-call loop; Session is for callers that mediate a
 // real user conversation (ask, wait, apply, repeat) and for long-lived
@@ -27,46 +27,9 @@ import (
 // such sequences (the internal/live registry's entry lock does exactly
 // that for crserve's sessions).
 type Session struct {
-	// mu guards every field below. The underlying core.Session is not
-	// concurrency-safe, so all access to it goes through this lock.
-	mu           sync.Mutex
-	sess         *core.Session
-	sch          *Schema
-	interactions int
-	// prior accumulates the counters of core sessions replaced by Apply's
-	// rollback path, so Stats reports the whole conversation's work.
-	prior SessionStats
-	// view caches validity, the derived order and the resolved values for
-	// the current formula; Apply invalidates it. One round of the usual
-	// loop (Complete → Suggest → Apply → Result) then deduces once, not
-	// three times.
-	view *sessionView
-	// mode is the sticky resolution mode the session was created with; its
-	// trust overlay is already merged into the core session's specification,
-	// and Result applies its strategy.
-	mode ResolutionMode
-}
-
-type sessionView struct {
-	valid    bool
-	od       *core.OrderSet
-	resolved map[Attr]Value
-}
-
-// current returns the cached per-formula view, computing it on first use.
-// Callers must hold s.mu.
-func (s *Session) current() *sessionView {
-	if s.view != nil {
-		return s.view
-	}
-	v := &sessionView{}
-	if ok, _ := s.sess.IsValid(); ok {
-		v.valid = true
-		v.od, _ = s.sess.DeduceOrder()
-		v.resolved = core.TrueValues(s.sess.Encoding(), v.od)
-	}
-	s.view = v
-	return v
+	// mu guards ls, which is not safe for concurrent use.
+	mu sync.Mutex
+	ls *LiveSession
 }
 
 // NewSession starts an incremental resolution session on the specification.
@@ -82,29 +45,25 @@ func NewSessionMode(spec *Spec, mode ResolutionMode) (*Session, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("conflictres: NewSession needs a specification")
 	}
-	if err := spec.m.Validate(); err != nil {
-		return nil, err
-	}
-	m, err := mode.effectiveSpec(spec.m)
+	// The rule set shares the specification's constraint slices, so the
+	// pipeline's skeleton recognizes the specification as its own.
+	m := spec.m
+	rs := &RuleSet{schema: spec.Schema(), sigma: m.Sigma, gamma: m.Gamma, trust: m.Trust}
+	ls, err := rs.openLive(m, mode)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{
-		sess: core.NewSession(m, encode.Options{}),
-		sch:  spec.Schema(),
-		mode: mode,
-	}, nil
+	return &Session{ls: ls}, nil
 }
 
 // Valid reports whether the current specification (including all applied
-// answers) has a valid completion. The verdict is cached until Apply.
-// Validity gates every derived view: deduction on a spec that is UNSAT
-// only under search would otherwise yield values read off an
-// unsatisfiable formula.
+// answers) has a valid completion. Validity gates every derived view:
+// deduction on a spec that is UNSAT only under search would otherwise yield
+// values read off an unsatisfiable formula.
 func (s *Session) Valid() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.current().valid
+	return s.ls.state.Valid
 }
 
 // Deduce returns the true values determined so far, keyed by attribute
@@ -112,13 +71,12 @@ func (s *Session) Valid() bool {
 func (s *Session) Deduce() map[string]Value {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.current()
-	if !v.valid {
+	if !s.ls.state.Valid {
 		return nil
 	}
-	out := make(map[string]Value, len(v.resolved))
-	for a, val := range v.resolved {
-		out[s.sch.Name(a)] = val
+	out := make(map[string]Value, len(s.ls.deduced))
+	for a, val := range s.ls.deduced {
+		out[s.ls.rs.schema.Name(a)] = val
 	}
 	return out
 }
@@ -127,8 +85,7 @@ func (s *Session) Deduce() map[string]Value {
 func (s *Session) Complete() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.current()
-	return v.valid && len(v.resolved) == s.sch.Len()
+	return s.ls.state.Valid && len(s.ls.deduced) == s.ls.rs.schema.Len()
 }
 
 // Suggest computes the attribute set the user should confirm next, with
@@ -136,11 +93,7 @@ func (s *Session) Complete() bool {
 func (s *Session) Suggest() (Suggestion, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.current()
-	if !v.valid {
-		return Suggestion{}, fmt.Errorf("conflictres: specification is invalid")
-	}
-	return s.sess.Suggest(v.od, v.resolved), nil
+	return s.ls.Suggest()
 }
 
 // Apply folds user-validated true values, keyed by attribute name, into the
@@ -149,46 +102,16 @@ func (s *Session) Suggest() (Suggestion, error) {
 // last consistent state (the framework's "revise" branch) and an error is
 // returned.
 func (s *Session) Apply(answers map[string]Value) error {
-	if len(answers) == 0 {
-		return nil
-	}
-	conv := make(map[Attr]Value, len(answers))
-	for name, v := range answers {
-		a, ok := s.sch.Attr(name)
-		if !ok {
-			return fmt.Errorf("conflictres: unknown attribute %q", name)
-		}
-		conv[a] = v
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	prev := s.sess.Spec() // Extend clones; prev stays the consistent state
-	s.sess.Extend(conv)
-	s.view = nil // formula changed: every derived view is stale
-	if ok, _ := s.sess.IsValid(); !ok {
-		// Roll back to the last consistent state, carrying the discarded
-		// session's reuse counters into the running totals.
-		s.prior = addStats(s.prior, s.sess.Stats())
-		s.sess = core.NewSession(prev, encode.Options{})
-		return fmt.Errorf("conflictres: input contradicts the specification; rolled back")
-	}
-	s.interactions++
-	return nil
-}
-
-func addStats(a, b SessionStats) SessionStats {
-	a.Rebuilds += b.Rebuilds
-	a.Extends += b.Extends
-	a.Solves += b.Solves
-	a.ClausesLoaded += b.ClausesLoaded
-	return a
+	return s.ls.Answer(answers)
 }
 
 // Interactions returns the number of successful Apply calls.
 func (s *Session) Interactions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.interactions
+	return s.ls.state.Interactions
 }
 
 // Stats returns the session's solver-reuse counters, including the work of
@@ -196,7 +119,7 @@ func (s *Session) Interactions() int {
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return addStats(s.prior, s.sess.Stats())
+	return s.ls.SessionStats()
 }
 
 // Result snapshots the session as a Result, mirroring Resolve's output for
@@ -206,31 +129,17 @@ func (s *Session) Stats() SessionStats {
 func (s *Session) Result() *Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.current()
-	res := &Result{
-		Valid:        v.valid,
-		Resolved:     make(map[Attr]Value, len(v.resolved)),
-		Rounds:       s.interactions + 1,
-		Interactions: s.interactions,
-		Session:      addStats(s.prior, s.sess.Stats()),
-		schema:       s.sch,
+	st := s.ls.State()
+	if st.Resolved == nil {
+		st.Resolved = make(map[Attr]Value)
 	}
-	if !v.valid {
-		return res
+	return &Result{
+		Valid:        st.Valid,
+		Tuple:        st.Tuple,
+		Resolved:     st.Resolved,
+		Rounds:       st.Interactions + 1,
+		Interactions: st.Interactions,
+		Session:      s.ls.SessionStats(),
+		schema:       s.ls.rs.schema,
 	}
-	if fr, ok := fastResolve(s.sess.Spec(), s.mode.Strategy); ok {
-		fr.Rounds = res.Rounds
-		fr.Interactions = res.Interactions
-		fr.Session = res.Session
-		return fr
-	}
-	for a, val := range v.resolved {
-		res.Resolved[a] = val
-	}
-	res.Tuple = relation.NewTuple(s.sch)
-	for a, val := range res.Resolved {
-		res.Tuple[a] = val
-	}
-	trustFillTuple(s.sess, v.od, res)
-	return res
 }
