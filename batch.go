@@ -81,6 +81,12 @@ func (rs *RuleSet) acquirePipeline() *pipeline {
 		return v.(*pipeline)
 	}
 	poolMisses.Add(1)
+	return rs.newPipeline()
+}
+
+// newPipeline builds a pipeline for the rule set outside its pool and its
+// counters.
+func (rs *RuleSet) newPipeline() *pipeline {
 	return &pipeline{p: core.NewPipeline(rs.sigma, rs.gamma, encode.Options{})}
 }
 

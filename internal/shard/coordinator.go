@@ -394,13 +394,13 @@ func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, 
 // back, not retryable, and the backend stays up.
 func (c *Coordinator) do(ctx context.Context, b *backend, method, path string, body []byte) (status int, respBody []byte, retryable bool, err error) {
 	b.requests.Add(1)
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
+	hop, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, b.url+path, rd)
+	req, err := http.NewRequestWithContext(hop, method, b.url+path, rd)
 	if err != nil {
 		return 0, nil, false, err
 	}

@@ -669,6 +669,30 @@ func TestShardSessionFollowUpTimeout(t *testing.T) {
 	}
 }
 
+// TestShardHungBackendFailsOver: a per-hop Timeout expiry is the backend's
+// fault, not the caller's. A keyed resolve and a session create owned by a
+// hung backend are answered by its sibling, and the hung one is marked down.
+func TestShardHungBackendFailsOver(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	c, curl := newShard(t, []string{hungBackend(t), newBackendURL(t)}, func(cfg *Config) {
+		cfg.Timeout = timeout
+	})
+	i := 0
+	for c.ring.Owners(fmt.Sprintf("e%d", i), 1)[0] != 0 {
+		i++
+	}
+	for _, path := range []string{"/v1/resolve", "/v1/session"} {
+		c.backends[0].up.Store(true)
+		resp, data := postJSON(t, curl+path, edithResolveBody(t, i))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s owned by a hung backend answered %d: %s", path, resp.StatusCode, data)
+		}
+		if c.backends[0].up.Load() {
+			t.Fatalf("%s: a per-hop timeout left the hung backend up", path)
+		}
+	}
+}
+
 // TestShardClientCancelKeepsBackendUp: a client that gives up before a
 // slow but healthy backend answers must not cost that backend its place on
 // the live set. The hop dies with the client's request, which is no

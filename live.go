@@ -67,8 +67,9 @@ func (st LiveState) clone() LiveState {
 // resolved state is recomputed, so consumers always read a result
 // consistent with every delta accepted so far.
 //
-// A LiveSession holds a pooled pipeline (encoding skeleton + arena solver)
-// checked out of its rule set for its whole lifetime; Close returns it.
+// A LiveSession holds a pipeline (encoding skeleton + arena solver) for its
+// whole lifetime. NewLiveSession checks it out of the rule set's pool and
+// Close returns it.
 // Sessions are not safe for concurrent use; the live registry serializes
 // access per entity, and Session wraps one in a mutex.
 type LiveSession struct {
@@ -80,8 +81,9 @@ type LiveSession struct {
 	prior SessionStats
 	state LiveState
 	// od and deduced are the derived order and the deduced true values of
-	// the last refresh, kept for Suggest. deduced differs from
-	// state.Resolved only where a degenerate strategy picked the values.
+	// the current valid formula, kept for Suggest; see deduction. deduced
+	// differs from state.Resolved only where a degenerate strategy picked
+	// the values.
 	od      *core.OrderSet
 	deduced map[Attr]Value
 	// mode is the sticky resolution mode fixed at creation; its trust
@@ -126,12 +128,13 @@ func (rs *RuleSet) NewLiveSessionMode(rows []Tuple, sources []string, orders []L
 	m := model.NewCompiledSpec(model.NewTemporal(in), rs.sigma, rs.gamma)
 	m.Trust = rs.trust
 	m.TI.Edges = edges
-	return rs.openLive(m, mode)
+	return rs.openLive(m, mode, rs.acquirePipeline)
 }
 
 // openLive validates the specification, merges the mode's trust overlay
-// into it and loads it on a pipeline checked out of the rule set's pool.
-func (rs *RuleSet) openLive(m *model.Spec, mode ResolutionMode) (*LiveSession, error) {
+// into it and loads it on a pipeline from checkout: the rule set's pool, or
+// a fresh one for a session that is never closed.
+func (rs *RuleSet) openLive(m *model.Spec, mode ResolutionMode, checkout func() *pipeline) (*LiveSession, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -139,7 +142,7 @@ func (rs *RuleSet) openLive(m *model.Spec, mode ResolutionMode) (*LiveSession, e
 	if err != nil {
 		return nil, err
 	}
-	pl := rs.acquirePipeline()
+	pl := checkout()
 	ls := &LiveSession{rs: rs, pl: pl, sess: pl.p.NewSession(m), mode: mode}
 	ls.refresh()
 	return ls, nil
@@ -242,7 +245,19 @@ func (ls *LiveSession) Suggest() (Suggestion, error) {
 	if !ls.state.Valid {
 		return Suggestion{}, fmt.Errorf("conflictres: specification is invalid")
 	}
-	return ls.sess.Suggest(ls.od, ls.deduced), nil
+	return ls.sess.Suggest(ls.deduction()), nil
+}
+
+// deduction returns the derived order and the deduced true values of the
+// current formula, which must be valid. refresh derives them unless a
+// degenerate strategy's closed-form pick made the state; then the first
+// caller that needs them derives them.
+func (ls *LiveSession) deduction() (*core.OrderSet, map[Attr]Value) {
+	if ls.od == nil {
+		ls.od, _ = ls.sess.DeduceOrder()
+		ls.deduced = core.TrueValues(ls.sess.Encoding(), ls.od)
+	}
+	return ls.od, ls.deduced
 }
 
 // State returns the resolution snapshot for all rows seen so far. The
@@ -310,26 +325,23 @@ func (ls *LiveSession) refresh() {
 	}
 	ls.od, ls.deduced = nil, nil
 	if ok, _ := ls.sess.IsValid(); ok {
-		if od, ok := ls.sess.DeduceOrder(); ok {
-			st.Valid = true
-			enc := ls.sess.Encoding()
-			ls.od, ls.deduced = od, core.TrueValues(enc, od)
-			if fr, ok := fastResolve(ls.sess.Spec(), ls.mode.Strategy); ok {
-				// Degenerate strategy on a constraint-free entity: closed-form
-				// pick. fastResolve builds fresh maps and tuples, so the
-				// snapshot cannot alias encoding storage.
-				st.Resolved, st.Tuple = fr.Resolved, fr.Tuple
-			} else {
-				st.Resolved = ls.deduced
-				st.Tuple = relation.NewTuple(ls.rs.schema)
-				for a, v := range st.Resolved {
-					st.Tuple[a] = v
-				}
-				// Trust preference layer: fill still-open attributes of the
-				// current tuple from the most trusted surviving candidates.
-				for a, v := range core.TrustFill(enc, od, st.Resolved) {
-					st.Tuple[a] = v
-				}
+		st.Valid = true
+		if fr, ok := fastResolve(ls.sess.Spec(), ls.mode.Strategy); ok {
+			// Degenerate strategy on a constraint-free entity: closed-form
+			// pick, no deduction. fastResolve builds fresh maps and tuples,
+			// so the snapshot cannot alias encoding storage.
+			st.Resolved, st.Tuple = fr.Resolved, fr.Tuple
+		} else {
+			od, deduced := ls.deduction()
+			st.Resolved = deduced
+			st.Tuple = relation.NewTuple(ls.rs.schema)
+			for a, v := range st.Resolved {
+				st.Tuple[a] = v
+			}
+			// Trust preference layer: fill still-open attributes of the
+			// current tuple from the most trusted surviving candidates.
+			for a, v := range core.TrustFill(ls.sess.Encoding(), od, st.Resolved) {
+				st.Tuple[a] = v
 			}
 		}
 	}

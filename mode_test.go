@@ -356,6 +356,23 @@ func TestSessionModeSticky(t *testing.T) {
 	if got := sess.Result().Tuple[Attr(1)]; got.String() != "NY" {
 		t.Errorf("session result = %v, want the latest-writer NY", got)
 	}
+	// The strategy picks the Result only: deduction and the next question
+	// come from the formula, as in a SAT-mode session.
+	satSess, err := NewSession(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.Complete() || !reflect.DeepEqual(sess.Deduce(), satSess.Deduce()) {
+		t.Errorf("degenerate-mode session deduced %v (complete=%v), SAT mode %v",
+			sess.Deduce(), sess.Complete(), satSess.Deduce())
+	}
+	sug, err := sess.Suggest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if satSug, _ := satSess.Suggest(); !reflect.DeepEqual(sug.Attrs, satSug.Attrs) || len(sug.Attrs) == 0 {
+		t.Errorf("degenerate-mode session suggests %v, SAT mode %v", sug.Attrs, satSug.Attrs)
+	}
 
 	// A session with a trust overlay fills its Result tuple the same way the
 	// one-shot path does.

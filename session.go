@@ -11,9 +11,10 @@ import (
 // same learned-clause state, and each Apply folds the user's answers in as
 // Se ⊕ Ot — incremental unit-clause additions instead of a re-encode.
 //
-// Session is a mutex around a LiveSession fed with answers only: it opens
-// on a rule set of the specification's own compiled constraints, so it
-// runs on a pooled pipeline like every other stateful path.
+// Session is a mutex around a LiveSession fed with answers only. It opens
+// on a rule set of the specification's own compiled constraints, with a
+// pipeline of its own outside every pool: a Session has no Close, so it
+// could never give a pooled one back.
 //
 // Resolve remains the one-call loop; Session is for callers that mediate a
 // real user conversation (ask, wait, apply, repeat) and for long-lived
@@ -49,7 +50,7 @@ func NewSessionMode(spec *Spec, mode ResolutionMode) (*Session, error) {
 	// pipeline's skeleton recognizes the specification as its own.
 	m := spec.m
 	rs := &RuleSet{schema: spec.Schema(), sigma: m.Sigma, gamma: m.Gamma, trust: m.Trust}
-	ls, err := rs.openLive(m, mode)
+	ls, err := rs.openLive(m, mode, rs.newPipeline)
 	if err != nil {
 		return nil, err
 	}
@@ -74,8 +75,9 @@ func (s *Session) Deduce() map[string]Value {
 	if !s.ls.state.Valid {
 		return nil
 	}
-	out := make(map[string]Value, len(s.ls.deduced))
-	for a, val := range s.ls.deduced {
+	_, deduced := s.ls.deduction()
+	out := make(map[string]Value, len(deduced))
+	for a, val := range deduced {
 		out[s.ls.rs.schema.Name(a)] = val
 	}
 	return out
@@ -85,7 +87,11 @@ func (s *Session) Deduce() map[string]Value {
 func (s *Session) Complete() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ls.state.Valid && len(s.ls.deduced) == s.ls.rs.schema.Len()
+	if !s.ls.state.Valid {
+		return false
+	}
+	_, deduced := s.ls.deduction()
+	return len(deduced) == s.ls.rs.schema.Len()
 }
 
 // Suggest computes the attribute set the user should confirm next, with

@@ -79,6 +79,44 @@ func BenchmarkResolveLoopFromScratchNaive(b *testing.B) {
 	benchmarkResolveLoop(b, core.Options{FromScratch: true, UseNaiveDeduce: true})
 }
 
+// BenchmarkSessionLoop is the ResolveLoopSession conversation driven
+// through the public Session: open, then Complete → Suggest → Apply one
+// answer until the entity is complete.
+func BenchmarkSessionLoop(b *testing.B) {
+	entities := resolveLoopEntities()
+	rounds := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := entities[i%len(entities)]
+		sess, err := NewSession(&Spec{m: e.Spec})
+		if err != nil {
+			b.Fatal(err)
+		}
+		user := &core.SimulatedUser{Truth: e.Truth, MaxPerRound: 1}
+		sch := e.Spec.Schema()
+		for sess.Valid() && !sess.Complete() {
+			sug, err := sess.Suggest()
+			if err != nil {
+				b.Fatal(err)
+			}
+			answers := make(map[string]Value)
+			for a, v := range user.Answer(sug) {
+				answers[sch.Name(a)] = v
+			}
+			if len(answers) == 0 {
+				break
+			}
+			if err := sess.Apply(answers); err != nil {
+				b.Fatal(err)
+			}
+		}
+		rounds += sess.Result().Rounds
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+}
+
 // BenchmarkSessionValidityDeduce measures the non-interactive hot path the
 // batch/dataset/server layers take per entity: validity plus deduction on
 // one session (one load, one solve) vs two fresh solvers.
