@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"conflictres/internal/clique"
@@ -44,22 +45,30 @@ func (r Rule) assignments() map[relation.Attr]relation.Value {
 	return m
 }
 
-func (r Rule) key() string {
-	type kv struct {
-		a relation.Attr
-		v string
+// appendKey appends r's dedup key to b: its premises in attribute order,
+// then its conclusion, each as "attr=quoted value". The premises are
+// ordered through a small index array, leaving r.X and r.P as they are.
+func (r Rule) appendKey(b []byte) []byte {
+	var buf [8]int
+	ord := buf[:0]
+	for i := range r.X {
+		j := len(ord)
+		ord = append(ord, i)
+		for ; j > 0 && r.X[ord[j-1]] > r.X[i]; j-- {
+			ord[j] = ord[j-1]
+		}
+		ord[j] = i
 	}
-	var items []kv
-	for i, a := range r.X {
-		items = append(items, kv{a, r.P[i].Quote()})
+	for _, i := range ord {
+		b = strconv.AppendInt(b, int64(r.X[i]), 10)
+		b = append(b, '=')
+		b = r.P[i].AppendQuote(b)
+		b = append(b, ',')
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].a < items[j].a })
-	var b strings.Builder
-	for _, it := range items {
-		fmt.Fprintf(&b, "%d=%s,", it.a, it.v)
-	}
-	fmt.Fprintf(&b, "=>%d=%s", r.B, r.Bv.Quote())
-	return b.String()
+	b = append(b, "=>"...)
+	b = strconv.AppendInt(b, int64(r.B), 10)
+	b = append(b, '=')
+	return r.Bv.AppendQuote(b)
 }
 
 // TrueDer computes derivation rules from the instance constraints Ω(Se) and
@@ -76,10 +85,11 @@ func TrueDer(enc *encode.Encoding, od *OrderSet, resolved map[relation.Attr]rela
 
 	var rules []Rule
 	seen := make(map[string]bool)
+	var key []byte
 	add := func(r Rule) {
-		k := r.key()
-		if !seen[k] {
-			seen[k] = true
+		key = r.appendKey(key[:0])
+		if !seen[string(key)] {
+			seen[string(key)] = true
 			rules = append(rules, r)
 		}
 	}

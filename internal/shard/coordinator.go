@@ -31,7 +31,9 @@ const (
 	// codeBackendDown answers session traffic whose owning backend is
 	// unreachable — sessions are stateful, so there is no sibling to retry
 	// on; the client re-creates the session (or the fleet restores it from
-	// a snapshot, see server.RestoreSessions).
+	// a snapshot, see server.RestoreSessions). It also answers a keyed
+	// request that failed without a retry, and the batch or dataset
+	// entities a backend left unanswered on a stream that ended cleanly.
 	codeBackendDown = "backend_unavailable"
 	// codeBadSessionID answers session ids that do not carry a known
 	// backend tag — the id was not minted by this fleet.
@@ -84,9 +86,9 @@ type Config struct {
 	// shutdown (default 10s).
 	ShutdownGrace time.Duration
 	// RetryBase is the first backoff delay when a keyed request, a session
-	// create, an entity proxy hop or a replication forward retries after a
-	// transport failure (default 25ms). Delays double per attempt with ±50%
-	// jitter.
+	// create, an entity proxy hop, a replication forward or a wave of batch
+	// or dataset entities retries after a transport failure (default
+	// 25ms). Delays double per attempt with ±50% jitter.
 	RetryBase time.Duration
 	// RetryCap bounds one backoff delay (default 1s).
 	RetryCap time.Duration
@@ -96,6 +98,9 @@ type Config struct {
 	// transport failure — a slow-but-healthy first attempt still gets the
 	// full Timeout — and is a context deadline threaded through
 	// Coordinator.send, so it also cuts a retry attempt that outlives it.
+	// A batch or dataset stream keeps one budget per failed hop: the hop's
+	// unanswered entities and every later wave of them charge it, and a
+	// wave it runs out on answers retry_budget_exhausted in-band.
 	RetryBudget time.Duration
 	// Client overrides the HTTP client used to talk to backends (tests).
 	Client *http.Client

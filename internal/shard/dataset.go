@@ -3,7 +3,6 @@ package shard
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"conflictres/internal/dataset"
 	"conflictres/internal/relation"
 )
 
@@ -19,12 +19,14 @@ import (
 // agree on key identity.
 const keySep = "\x1f"
 
-// dsAccount merges per-backend dataset outcomes into one client summary.
-// Outcome counters (entities/resolved/invalid/failed/cached) are computed
-// coordinator-side from the result lines actually relayed, so they
-// reconcile with the merged output even across failovers; windows, splits
-// and backend-side drops are summed from the backend summary lines.
-type dsAccount struct {
+// dsStream relays dataset result lines and merges per-backend outcomes
+// into one client summary. Outcome counters (entities/resolved/invalid/
+// failed/cached) are computed coordinator-side from the result lines
+// actually relayed, so they reconcile with the merged output even across
+// failovers; windows, splits and backend-side drops are summed from the
+// backend summary lines, and rows no backend resolved count as dropped.
+type dsStream struct {
+	*emitter
 	mu       sync.Mutex
 	entities int64
 	resolved int64
@@ -38,13 +40,14 @@ type dsAccount struct {
 
 // handleDataset is POST /v1/resolve/dataset on the coordinator: the same
 // NDJSON contract as a single crserve, partitioned across the fleet. Rows
-// are routed by entity key on the ring — every entity's rows land on one
-// backend, so grouping and resolution happen there — and each backend
-// receives its partition as one ordinary dataset request. Result lines
-// are relayed verbatim as backends stream them; the per-backend summary
-// lines are absorbed into one merged summary. A backend that dies
-// mid-partition is marked down and its whole partition is retried on the
-// next live backend, with results already relayed deduplicated by key.
+// are grouped by entity key and each entity is routed on the ring — its
+// rows always travel together, so grouping and resolution happen on one
+// backend — and each backend receives its entities as one ordinary
+// dataset request. Result lines are relayed verbatim as backends stream
+// them; the per-backend summary lines are absorbed into one merged
+// summary. A backend that dies mid-stream is marked down and only the
+// entities it left unanswered move, each to its own next owner along the
+// ring, under the same backoff and retry budget as batch failover.
 func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sc := bufio.NewScanner(r.Body)
@@ -82,10 +85,12 @@ func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Partition rows by the ring alone, ignoring liveness: an entity's rows
-	// must stay together no matter when a backend flaps, and send-time
-	// failover moves whole partitions so entities never split.
-	partitions := make([][][]byte, len(c.backends))
+	// One job per entity, its rows in input order. Jobs are keyed by the
+	// display key result lines carry, so two keys that display alike (a
+	// composite key with a comma in a cell) travel as one entity and every
+	// result line attributes to exactly one job.
+	var jobs []job
+	byID := make(map[string]int)
 	var rows int64
 	var rowErr error
 	for sc.Scan() {
@@ -99,8 +104,14 @@ func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		rows++
-		idx := c.ring.Owner(key)
-		partitions[idx] = append(partitions[idx], append([]byte(nil), line...))
+		id := dataset.DisplayKey(key)
+		i, ok := byID[id]
+		if !ok {
+			i = len(jobs)
+			byID[id] = i
+			jobs = append(jobs, job{key: key, id: id})
+		}
+		jobs[i].body = append(append(jobs[i].body, line...), '\n')
 	}
 	if rowErr == nil {
 		rowErr = sc.Err()
@@ -108,46 +119,96 @@ func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	em := &emitter{out: w, w: flusher, mergeNs: func(ns int64) { c.met.datasetMergeNs.Add(ns) }}
-	acc := &dsAccount{}
-
+	ds := &dsStream{emitter: &emitter{out: w, w: flusher, mergeNs: func(ns int64) { c.met.datasetMergeNs.Add(ns) }}}
 	if rowErr != nil {
 		// Mirror the single-node contract: an input failure aborts before
-		// any partition is dispatched — an error-truncated stream must not
+		// any entity is dispatched — an error-truncated stream must not
 		// produce normal-looking results from part of its rows.
-		em.emit(&errorLine{Error: &errorJSON{Code: codeBadRequest, Message: "stream aborted: " + rowErr.Error()}})
+		ds.emit(&errorLine{Error: &errorJSON{Code: codeBadRequest, Message: "stream aborted: " + rowErr.Error()}})
 	} else {
-		var wg sync.WaitGroup
-		for idx, part := range partitions {
-			if len(part) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(idx int, part [][]byte) {
-				defer wg.Done()
-				c.sendPartition(r.Context(), headerLine, idx, part, em, acc)
-			}(idx, part)
-		}
-		wg.Wait()
+		c.newFanout(r.Context(), "/v1/resolve/dataset", headerLine, ds).spread(r.Context(), jobs, 0)
 	}
 
 	wall := time.Since(start)
 	sum := &datasetSummaryJSON{
 		Rows:          rows,
-		Entities:      acc.entities,
-		Resolved:      acc.resolved,
-		Invalid:       acc.invalid,
-		Failed:        acc.failed,
-		Cached:        acc.cached,
-		Windows:       acc.windows,
-		SplitEntities: acc.split,
-		Dropped:       acc.dropped,
+		Entities:      ds.entities,
+		Resolved:      ds.resolved,
+		Invalid:       ds.invalid,
+		Failed:        ds.failed,
+		Cached:        ds.cached,
+		Windows:       ds.windows,
+		SplitEntities: ds.split,
+		Dropped:       ds.dropped,
 		WallUs:        int64(wall / time.Microsecond),
 	}
 	if wall > 0 {
 		sum.RowsPerSec = float64(rows) / wall.Seconds()
 	}
-	em.emit(map[string]*datasetSummaryJSON{"summary": sum})
+	ds.emit(map[string]*datasetSummaryJSON{"summary": sum})
+}
+
+// relay absorbs a backend summary line into the merged counters, and
+// relays any other line verbatim, attributing it to the job of h whose
+// display key it carries. A window split answers one entity with several
+// lines; all of them pass through.
+func (s *dsStream) relay(h *inflight, line []byte) {
+	start := time.Now()
+	var dl dsLine
+	if json.Unmarshal(line, &dl) != nil {
+		s.mergeNs(int64(time.Since(start)))
+		return
+	}
+	if dl.Summary != nil {
+		var sum datasetSummaryJSON
+		if json.Unmarshal(dl.Summary, &sum) == nil {
+			s.mu.Lock()
+			s.windows += sum.Windows
+			s.split += sum.SplitEntities
+			s.dropped += sum.Dropped
+			s.mu.Unlock()
+		}
+		s.mergeNs(int64(time.Since(start)))
+		return
+	}
+	if h.byID == nil {
+		h.byID = make(map[string]int, len(h.jobs))
+		for i := range h.jobs {
+			h.byID[h.jobs[i].id] = i
+		}
+	}
+	if i, ok := h.byID[dl.ID]; ok {
+		h.jobs[i].done = true
+	}
+	s.mu.Lock()
+	s.entities++
+	switch {
+	case len(dl.Error) > 0 && string(dl.Error) != "null":
+		s.failed++
+	case dl.Valid:
+		s.resolved++
+	default:
+		s.invalid++
+	}
+	if dl.Cached {
+		s.cached++
+	}
+	s.mu.Unlock()
+	s.mergeNs(int64(time.Since(start)))
+	s.emitRaw(line)
+}
+
+// giveUp counts the jobs' rows as dropped and tells the client, in one
+// error line, how much of the input went unresolved.
+func (s *dsStream) giveUp(jobs []job, code, msg string) {
+	rows := 0
+	for _, j := range jobs {
+		rows += bytes.Count(j.body, newline)
+	}
+	s.mu.Lock()
+	s.dropped += int64(rows)
+	s.mu.Unlock()
+	s.emit(&errorLine{Error: &errorJSON{Code: code, Message: fmt.Sprintf("%s: %d entities (%d rows) unresolved", msg, len(jobs), rows)}})
 }
 
 // rowKeyFunc builds the per-row routing key extractor for the header's row
@@ -211,181 +272,4 @@ func rowKeyFunc(hdr *datasetHeader) (func(line []byte) (string, error), error) {
 		}
 		return strings.Join(parts, keySep), nil
 	}, nil
-}
-
-// sendPartition streams one backend's row partition through the fleet,
-// walking backends until the partition completes or every backend has been
-// tried. Retries re-send the whole partition — resolution is pure, so
-// replays are safe — and skip result lines whose key was already relayed
-// by an earlier (failed) attempt; duplicate keys within one attempt are
-// legitimate window splits and pass through.
-func (c *Coordinator) sendPartition(ctx context.Context, headerLine []byte, primaryIdx int, part [][]byte, em *emitter, acc *dsAccount) {
-	prevEmitted := make(map[string]bool)
-	var tried uint64
-	idx := primaryIdx
-	attempt := 0
-	for {
-		if tried&(1<<uint(idx)) != 0 || !c.backends[idx].up.Load() {
-			tried |= 1 << uint(idx)
-			next, ok := nextUntried(tried, idx, len(c.backends))
-			if !ok {
-				c.giveUpPartition(part, em, acc)
-				return
-			}
-			idx = next
-			continue
-		}
-		b := c.backends[idx]
-		if attempt > 0 {
-			b.retries.Add(1)
-		}
-		tried |= 1 << uint(idx)
-
-		done, emitted := c.streamPartition(ctx, headerLine, b, part, em, acc, prevEmitted)
-		for k := range emitted {
-			prevEmitted[k] = true
-		}
-		if done {
-			return
-		}
-		attempt++
-		next, ok := nextUntried(tried, idx, len(c.backends))
-		if !ok {
-			c.giveUpPartition(part, em, acc)
-			return
-		}
-		idx = next
-	}
-}
-
-// nextUntried returns the next backend index after from (wrapping) whose
-// tried bit is clear.
-func nextUntried(tried uint64, from, n int) (int, bool) {
-	for i := 1; i <= n; i++ {
-		idx := (from + i) % n
-		if tried&(1<<uint(idx)) == 0 {
-			return idx, true
-		}
-	}
-	return 0, false
-}
-
-// giveUpPartition accounts a partition no live backend could take: its
-// unanswered rows are counted as dropped and one in-band error line tells
-// the client which slice of the input went unresolved.
-func (c *Coordinator) giveUpPartition(part [][]byte, em *emitter, acc *dsAccount) {
-	c.met.noBackend.Add(1)
-	acc.mu.Lock()
-	acc.dropped += int64(len(part))
-	acc.mu.Unlock()
-	em.emit(&errorLine{Error: &errorJSON{
-		Code:    codeNoBackend,
-		Message: fmt.Sprintf("no live backend for a partition of %d rows", len(part)),
-	}})
-}
-
-// streamPartition performs one attempt: POST the partition to b and relay
-// its result lines. It reports whether the partition completed (summary
-// seen or stream ended cleanly) and which keys were relayed this attempt.
-func (c *Coordinator) streamPartition(ctx context.Context, headerLine []byte, b *backend, part [][]byte, em *emitter, acc *dsAccount, prevEmitted map[string]bool) (done bool, emitted map[string]bool) {
-	emitted = make(map[string]bool)
-
-	var body bytes.Buffer
-	body.Write(headerLine)
-	body.WriteByte('\n')
-	for _, line := range part {
-		body.Write(line)
-		body.WriteByte('\n')
-	}
-
-	b.requests.Add(1)
-	reqCtx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, b.url+"/v1/resolve/dataset", &body)
-	if err != nil {
-		em.emit(&errorLine{Error: &errorJSON{Code: codeBadRequest, Message: err.Error()}})
-		acc.mu.Lock()
-		acc.dropped += int64(len(part))
-		acc.mu.Unlock()
-		return true, emitted
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		c.blame(ctx, b)
-		return false, emitted
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// Header-level verdict: deterministic on every backend, so don't
-		// retry. Relay the envelope in-band once for this partition.
-		var env struct {
-			Error *errorJSON `json:"error"`
-		}
-		code, msg := codeBadRequest, fmt.Sprintf("backend answered %d", resp.StatusCode)
-		if json.NewDecoder(resp.Body).Decode(&env) == nil && env.Error != nil {
-			code, msg = env.Error.Code, env.Error.Message
-		}
-		em.emit(&errorLine{Error: &errorJSON{Code: code, Message: msg}})
-		acc.mu.Lock()
-		acc.dropped += int64(len(part))
-		acc.mu.Unlock()
-		return true, emitted
-	}
-
-	rs := bufio.NewScanner(resp.Body)
-	rs.Buffer(make([]byte, 64<<10), int(c.cfg.MaxBodyBytes))
-	for rs.Scan() {
-		line := rs.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		start := time.Now()
-		var dl dsLine
-		if err := json.Unmarshal(line, &dl); err != nil {
-			c.met.datasetMergeNs.Add(int64(time.Since(start)))
-			continue
-		}
-		if dl.Summary != nil {
-			var sum datasetSummaryJSON
-			if json.Unmarshal(dl.Summary, &sum) == nil {
-				acc.mu.Lock()
-				acc.windows += sum.Windows
-				acc.split += sum.SplitEntities
-				acc.dropped += sum.Dropped
-				acc.mu.Unlock()
-			}
-			c.met.datasetMergeNs.Add(int64(time.Since(start)))
-			continue
-		}
-		if prevEmitted[dl.ID] {
-			// A failed earlier attempt already relayed this entity; the
-			// replay recomputed it (resolution is deterministic) — drop the
-			// duplicate line.
-			c.met.datasetMergeNs.Add(int64(time.Since(start)))
-			continue
-		}
-		emitted[dl.ID] = true
-		acc.mu.Lock()
-		acc.entities++
-		switch {
-		case len(dl.Error) > 0 && string(dl.Error) != "null":
-			acc.failed++
-		case dl.Valid:
-			acc.resolved++
-		default:
-			acc.invalid++
-		}
-		if dl.Cached {
-			acc.cached++
-		}
-		acc.mu.Unlock()
-		c.met.datasetMergeNs.Add(int64(time.Since(start)))
-		em.emitRaw(line)
-	}
-	if err := rs.Err(); err != nil {
-		c.blame(ctx, b)
-		return false, emitted
-	}
-	return true, emitted
 }

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/bits"
 	"net/http"
 	"strconv"
 	"sync"
@@ -16,13 +15,15 @@ import (
 	"conflictres/internal/httpstream"
 )
 
-// batchJob is one entity line in flight through the fleet.
-type batchJob struct {
-	line  []byte // raw entity line (owned copy)
-	index int    // zero-based index in the client's stream
-	id    string // entity id (may be empty)
+// job is one entity in flight through a batch or dataset fan-out. Its
+// lines always travel together: a hop carries all of them or none.
+type job struct {
+	body  []byte // the entity's NDJSON lines, each newline-terminated (owned copy)
 	key   string // routing key
+	id    string // batch: the entity id (may be empty); dataset: the display key
+	index int    // batch: zero-based index in the client's stream
 	tried uint64 // bitmask of backend indices already attempted
+	done  bool   // a result line of the current hop answered it
 }
 
 // emitter serializes result lines onto the client response and accounts
@@ -57,6 +58,312 @@ func (e *emitter) emitRaw(line []byte) {
 func (e *emitter) emit(v any) {
 	line, _ := json.Marshal(v)
 	e.emitRaw(line)
+}
+
+// stream is what the batch and dataset fan-outs do differently; the hop,
+// the pipelining and the failover are shared.
+type stream interface {
+	// relay writes one backend result line to the client, marking done the
+	// job of h it answers, if any.
+	relay(h *inflight, line []byte)
+	// giveUp answers jobs that no backend will resolve with an in-band
+	// error.
+	giveUp(jobs []job, code, msg string)
+}
+
+// inflight is one hop's jobs, in body order, and the scratch a stream
+// keeps while it relays the hop's result lines.
+type inflight struct {
+	jobs []job
+	out  []byte         // batch: the restamped line
+	byID map[string]int // dataset: job position by display key
+}
+
+// fanout is one client stream spread over the fleet.
+type fanout struct {
+	c      *Coordinator
+	client context.Context // the client's request
+	path   string          // the backend endpoint
+	header []byte          // the client's header line
+	// sems holds one pipelining semaphore per backend: a slot is held for
+	// the full life of a hop, so at most Pipeline hops are in flight per
+	// backend and a dispatcher stalls rather than queueing unbounded work
+	// for a slow one.
+	sems []chan struct{}
+	s    stream
+}
+
+func (c *Coordinator) newFanout(client context.Context, path string, header []byte, s stream) *fanout {
+	f := &fanout{c: c, client: client, path: path, header: header, s: s, sems: make([]chan struct{}, len(c.backends))}
+	for i := range f.sems {
+		f.sems[i] = make(chan struct{}, c.cfg.Pipeline)
+	}
+	return f
+}
+
+// dispatch takes a pipeline slot on backend idx, waiting while Pipeline
+// hops are in flight there, and sends jobs on a goroutine that wg counts.
+func (f *fanout) dispatch(ctx context.Context, wg *sync.WaitGroup, idx int, jobs []job, attempt int) {
+	f.sems[idx] <- struct{}{}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		f.send(ctx, idx, jobs, attempt)
+	}()
+}
+
+// send makes one hop of jobs to backend idx, whose pipeline slot the
+// caller holds, and settles every job the hop leaves unanswered: the
+// backend's error envelope answers them all, a transport failure reroutes
+// them, and a stream that ended cleanly without their lines reports them.
+// attempt counts the waves before this one.
+func (f *fanout) send(ctx context.Context, idx int, jobs []job, attempt int) {
+	h := &inflight{jobs: jobs}
+	env, err := f.c.post(ctx, f.c.backends[idx], f.path, f.header, jobs, func(line []byte) { f.s.relay(h, line) })
+	<-f.sems[idx]
+	left := jobs[:0]
+	for _, j := range jobs {
+		if !j.done {
+			left = append(left, j)
+		}
+	}
+	switch {
+	case len(left) == 0:
+	case env != nil:
+		f.s.giveUp(left, env.Code, env.Message)
+	case err == nil:
+		// A backend bug rather than a transport failure; report, not loop.
+		f.s.giveUp(left, codeBackendDown, "backend closed the stream without answering")
+	default:
+		f.reroute(ctx, idx, left, attempt)
+	}
+}
+
+// reroute is the streams' failover: after the hop to backend failed died,
+// only its unanswered jobs move, each to its key's next live owner along
+// the ring. The wave backs off first under the unified policy. Its retry
+// budget starts at the first failure, as in Coordinator.send, and later
+// waves of the same jobs charge the same budget; when it runs out, the
+// wave answers retry_budget_exhausted in-band. Replaying an entity is
+// safe: resolution is a pure computation.
+func (f *fanout) reroute(ctx context.Context, failed int, jobs []job, attempt int) {
+	if attempt == 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = f.c.retryBudgetCtx(ctx)
+		defer cancel()
+	}
+	if f.c.retry.Sleep(ctx, attempt+1, f.c.jitter) != nil {
+		if f.client.Err() == nil { // the budget ran out, not the client
+			f.c.met.retryBudgetExhausted.Add(1)
+			f.s.giveUp(jobs, codeRetryBudget, "retry budget exhausted after "+f.c.cfg.RetryBudget.String())
+		}
+		return
+	}
+	for i := range jobs {
+		jobs[i].tried |= 1 << uint(failed)
+	}
+	f.spread(ctx, jobs, attempt+1)
+}
+
+// spread routes each job to its first live owner not yet tried, once per
+// key per wave so an entity's lines never split, sends one hop per owner
+// and waits for them all. Jobs with no owner left answer no_backend.
+func (f *fanout) spread(ctx context.Context, jobs []job, attempt int) {
+	groups := make(map[int][]job)
+	var lost []job
+	for _, j := range jobs {
+		b, idx := f.c.route(j.key, j.tried)
+		if b == nil {
+			lost = append(lost, j)
+			continue
+		}
+		if attempt > 0 {
+			b.retries.Add(1)
+		}
+		groups[idx] = append(groups[idx], j)
+	}
+	if len(lost) > 0 {
+		f.c.met.noBackend.Add(int64(len(lost)))
+		f.s.giveUp(lost, codeNoBackend, "no live backend")
+	}
+	var wg sync.WaitGroup
+	for idx, g := range groups {
+		f.dispatch(ctx, &wg, idx, g, attempt)
+	}
+	wg.Wait()
+}
+
+// post is the streams' one hop: it posts the header line plus the jobs'
+// lines to b as one NDJSON request under the per-hop Timeout and hands
+// each non-empty response line to each. A non-200 answer is a header-level
+// verdict, deterministic on every backend, and comes back as its error
+// envelope. A transport failure, before the answer or mid-stream, comes
+// back as err once blame has judged b on ctx.
+func (c *Coordinator) post(ctx context.Context, b *backend, path string, header []byte, jobs []job, each func(line []byte)) (env *errorJSON, err error) {
+	size := len(header) + 1
+	for i := range jobs {
+		size += len(jobs[i].body)
+	}
+	body := append(make([]byte, 0, size), header...)
+	body = append(body, '\n')
+	for i := range jobs {
+		body = append(body, jobs[i].body...)
+	}
+
+	b.requests.Add(1)
+	hop, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(hop, http.MethodPost, b.url+path, bytes.NewReader(body))
+	if err != nil {
+		return &errorJSON{Code: codeBadRequest, Message: err.Error()}, nil
+	}
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	resp, err := c.cfg.Client.Do(req)
+	if err != nil {
+		c.blame(ctx, b)
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		var e struct {
+			Error *errorJSON `json:"error"`
+		}
+		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != nil {
+			return e.Error, nil
+		}
+		return &errorJSON{Code: codeBadRequest, Message: fmt.Sprintf("backend answered %d", resp.StatusCode)}, nil
+	}
+	rs := bufio.NewScanner(resp.Body)
+	rs.Buffer(make([]byte, 64<<10), int(c.cfg.MaxBodyBytes))
+	for rs.Scan() {
+		if line := rs.Bytes(); len(line) > 0 {
+			each(line)
+		}
+	}
+	if err := rs.Err(); err != nil {
+		c.blame(ctx, b)
+		return nil, err
+	}
+	return nil, nil
+}
+
+// handleBatch is POST /v1/resolve/batch on the coordinator: the same NDJSON
+// contract as a single crserve, fanned out across the fleet. Entities are
+// routed by id on the ring, grouped into per-backend sub-batches of
+// ChunkEntities lines, and pipelined with at most Pipeline sub-batches in
+// flight per backend (the reader blocks past that, so client back-pressure
+// reaches the slowest backend). Results stream back in completion order
+// restamped with the client's entity indices. A backend that dies
+// mid-sub-batch is marked down and the sub-batch's unanswered entities are
+// rerouted along the ring (see fanout.reroute).
+func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
+	// Merged result lines are gated until the client's request stream is
+	// fully received (HTTP/1.1 cannot full-duplex; see httpstream), then
+	// stream as backends answer.
+	gw := httpstream.NewGatedWriter(w)
+	defer gw.Open() // cover reads that stop short of body EOF
+	sc := bufio.NewScanner(gw.BodyEOF(r.Body))
+	bufSize := 64 << 10
+	if int(c.cfg.MaxBodyBytes) < bufSize {
+		bufSize = int(c.cfg.MaxBodyBytes)
+	}
+	sc.Buffer(make([]byte, bufSize), int(c.cfg.MaxBodyBytes))
+
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			c.writeError(w, http.StatusBadRequest, codeBadRequest, "bad header line: "+err.Error())
+			return
+		}
+		c.writeError(w, http.StatusBadRequest, codeBadRequest, "empty batch: missing header line")
+		return
+	}
+	headerLine := append([]byte(nil), sc.Bytes()...)
+	var hdr batchHeader
+	if err := json.Unmarshal(headerLine, &hdr); err != nil {
+		c.writeError(w, http.StatusBadRequest, codeBadRequest, "bad header line: "+err.Error())
+		return
+	}
+	if err := compileHeaderRules(&hdr.ruleSetJSON); err != nil {
+		c.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
+		return
+	}
+
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	em := batchStream{&emitter{out: gw, w: gw, mergeNs: func(ns int64) { c.met.batchMergeNs.Add(ns) }}}
+	f := c.newFanout(r.Context(), "/v1/resolve/batch", headerLine, em)
+
+	var wg sync.WaitGroup
+	pending := make(map[int][]job, len(c.backends))
+	index := 0
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		i := index
+		index++
+		var ek entityKey
+		if err := json.Unmarshal(line, &ek); err != nil {
+			em.emit(&errorLine{Index: &i, Error: &errorJSON{Code: codeBadRequest, Message: "bad entity line: " + err.Error()}})
+			continue
+		}
+		key := ek.ID
+		if key == "" {
+			// Anonymous entities spread by stream position; they still get
+			// stable retry siblings from the ring.
+			key = fmt.Sprintf("#%d", i)
+		}
+		b, bIdx := c.route(key, 0)
+		if b == nil {
+			c.met.noBackend.Add(1)
+			em.giveUp([]job{{id: ek.ID, index: i}}, codeNoBackend, "no live backend for entity")
+			continue
+		}
+		body := append(make([]byte, 0, len(line)+1), line...)
+		pending[bIdx] = append(pending[bIdx], job{body: append(body, '\n'), index: i, id: ek.ID, key: key})
+		if len(pending[bIdx]) >= c.cfg.ChunkEntities {
+			f.dispatch(r.Context(), &wg, bIdx, pending[bIdx], 0)
+			pending[bIdx] = nil
+		}
+	}
+	scanErr := sc.Err()
+	for bIdx, jobs := range pending {
+		if len(jobs) > 0 {
+			f.dispatch(r.Context(), &wg, bIdx, jobs, 0)
+		}
+	}
+	wg.Wait()
+	if scanErr != nil {
+		i := index
+		em.emit(&errorLine{Index: &i, Error: &errorJSON{Code: codeBadRequest, Message: "stream aborted: " + scanErr.Error()}})
+	}
+}
+
+// batchStream attributes batch result lines by the index crserve writes
+// first and answers given-up entities one error line each.
+type batchStream struct{ *emitter }
+
+// relay restamps a backend line onto the job at its index in the hop and
+// writes it; it allocates nothing once the hop's buffer has grown. A line
+// it cannot attribute is skipped: its entity stays unanswered.
+func (s batchStream) relay(h *inflight, line []byte) {
+	start := time.Now()
+	at, rest, ok := leadingIndex(line)
+	if !ok || at >= len(h.jobs) {
+		s.mergeNs(int64(time.Since(start)))
+		return
+	}
+	h.jobs[at].done = true
+	h.out = restamp(h.out[:0], &h.jobs[at], rest)
+	s.mergeNs(int64(time.Since(start)))
+	s.emitRaw(h.out)
+}
+
+func (s batchStream) giveUp(jobs []job, code, msg string) {
+	for _, j := range jobs {
+		i := j.index
+		s.emit(&errorLine{ID: j.id, Index: &i, Error: &errorJSON{Code: code, Message: msg}})
+	}
 }
 
 // leadingIndex reads the fields crserve writes first on every batch result
@@ -103,7 +410,7 @@ func leadingIndex(line []byte) (index int, rest []byte, ok bool) {
 // index, then the backend line's remaining fields verbatim. The id is the
 // coordinator's own even where the backend wrote none — a backend answers
 // a line it could not decode without one.
-func restamp(b []byte, j *batchJob, rest []byte) []byte {
+func restamp(b []byte, j *job, rest []byte) []byte {
 	b = append(b, '{')
 	if j.id != "" {
 		b = append(b, `"id":`...)
@@ -128,266 +435,4 @@ func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"')
-}
-
-// handleBatch is POST /v1/resolve/batch on the coordinator: the same NDJSON
-// contract as a single crserve, fanned out across the fleet. Entities are
-// routed by id on the ring, grouped into per-backend sub-batches of
-// ChunkEntities lines, and pipelined with at most Pipeline sub-batches in
-// flight per backend (the reader blocks past that, so client back-pressure
-// reaches the slowest backend). Results stream back in completion order
-// restamped with the client's entity indices. A backend that dies
-// mid-sub-batch is marked down and the sub-batch's unanswered entities are
-// retried on the next owner along the ring.
-func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	// Merged result lines are gated until the client's request stream is
-	// fully received (HTTP/1.1 cannot full-duplex; see httpstream), then
-	// stream as backends answer.
-	gw := httpstream.NewGatedWriter(w)
-	defer gw.Open() // cover reads that stop short of body EOF
-	sc := bufio.NewScanner(gw.BodyEOF(r.Body))
-	bufSize := 64 << 10
-	if int(c.cfg.MaxBodyBytes) < bufSize {
-		bufSize = int(c.cfg.MaxBodyBytes)
-	}
-	sc.Buffer(make([]byte, bufSize), int(c.cfg.MaxBodyBytes))
-
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			c.writeError(w, http.StatusBadRequest, codeBadRequest, "bad header line: "+err.Error())
-			return
-		}
-		c.writeError(w, http.StatusBadRequest, codeBadRequest, "empty batch: missing header line")
-		return
-	}
-	headerLine := append([]byte(nil), sc.Bytes()...)
-	var hdr batchHeader
-	if err := json.Unmarshal(headerLine, &hdr); err != nil {
-		c.writeError(w, http.StatusBadRequest, codeBadRequest, "bad header line: "+err.Error())
-		return
-	}
-	if err := compileHeaderRules(&hdr.ruleSetJSON); err != nil {
-		c.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
-		return
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	em := &emitter{out: gw, w: gw, mergeNs: func(ns int64) { c.met.batchMergeNs.Add(ns) }}
-
-	// One pipelining semaphore per backend: a slot is held for the full
-	// life of a sub-batch POST, so at most Pipeline requests are in flight
-	// per backend and the reader stalls (back-pressuring the client)
-	// rather than buffering unbounded work for a slow backend.
-	sems := make([]chan struct{}, len(c.backends))
-	for i := range sems {
-		sems[i] = make(chan struct{}, c.cfg.Pipeline)
-	}
-	var wg sync.WaitGroup
-	dispatch := func(bIdx int, jobs []batchJob) {
-		sems[bIdx] <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.sendSubBatch(r.Context(), headerLine, bIdx, jobs, em, sems)
-		}()
-	}
-
-	pending := make(map[int][]batchJob, len(c.backends))
-	index := 0
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		i := index
-		index++
-		var ek entityKey
-		if err := json.Unmarshal(line, &ek); err != nil {
-			em.emit(&errorLine{Index: &i, Error: &errorJSON{Code: codeBadRequest, Message: "bad entity line: " + err.Error()}})
-			continue
-		}
-		key := ek.ID
-		if key == "" {
-			// Anonymous entities spread by stream position; they still get
-			// stable retry siblings from the ring.
-			key = fmt.Sprintf("#%d", i)
-		}
-		b, bIdx := c.route(key, 0)
-		if b == nil {
-			c.met.noBackend.Add(1)
-			em.emit(&errorLine{ID: ek.ID, Index: &i, Error: &errorJSON{Code: codeNoBackend, Message: "no live backend for entity"}})
-			continue
-		}
-		pending[bIdx] = append(pending[bIdx], batchJob{
-			line: append([]byte(nil), line...), index: i, id: ek.ID, key: key,
-		})
-		if len(pending[bIdx]) >= c.cfg.ChunkEntities {
-			dispatch(bIdx, pending[bIdx])
-			pending[bIdx] = nil
-		}
-	}
-	scanErr := sc.Err()
-	for bIdx, jobs := range pending {
-		if len(jobs) > 0 {
-			dispatch(bIdx, jobs)
-		}
-	}
-	wg.Wait()
-	if scanErr != nil {
-		i := index
-		em.emit(&errorLine{Index: &i, Error: &errorJSON{Code: codeBadRequest, Message: "stream aborted: " + scanErr.Error()}})
-	}
-}
-
-// sendSubBatch posts one sub-batch to backend bIdx and merges its streamed
-// results. The caller has already reserved a pipeline slot on bIdx; the
-// slot is released when the sub-batch settles on that backend (success,
-// deterministic failure, or mark-down). Entities left unanswered by a
-// transport failure are rerouted to their next untried live owner —
-// recursively, so a chain of failures walks each entity's preference list
-// until it lands or exhausts the fleet.
-func (c *Coordinator) sendSubBatch(ctx context.Context, headerLine []byte, bIdx int, jobs []batchJob, em *emitter, sems []chan struct{}) {
-	b := c.backends[bIdx]
-	release := func() { <-sems[bIdx] }
-
-	size := len(headerLine) + 1
-	for _, j := range jobs {
-		size += len(j.line) + 1
-	}
-	var body bytes.Buffer
-	body.Grow(size)
-	body.Write(headerLine)
-	body.WriteByte('\n')
-	for _, j := range jobs {
-		body.Write(j.line)
-		body.WriteByte('\n')
-	}
-
-	b.requests.Add(1)
-	reqCtx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, b.url+"/v1/resolve/batch", &body)
-	if err != nil {
-		release()
-		em.emitJobErrors(jobs, codeBadRequest, err.Error())
-		return
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		c.blame(ctx, b)
-		release()
-		c.rerouteJobs(ctx, headerLine, bIdx, jobs, em, sems)
-		return
-	}
-	defer resp.Body.Close()
-
-	if resp.StatusCode != http.StatusOK {
-		// A non-200 batch response is a header-level verdict (bad rules,
-		// oversized line): deterministic, so retrying a sibling would just
-		// repeat it. Relay the envelope per entity.
-		var env struct {
-			Error *errorJSON `json:"error"`
-		}
-		code, msg := codeBadRequest, fmt.Sprintf("backend answered %d", resp.StatusCode)
-		if json.NewDecoder(resp.Body).Decode(&env) == nil && env.Error != nil {
-			code, msg = env.Error.Code, env.Error.Message
-		}
-		release()
-		em.emitJobErrors(jobs, code, msg)
-		return
-	}
-
-	seen := make([]bool, len(jobs))
-	rs := bufio.NewScanner(resp.Body)
-	bufSize := 64 << 10
-	rs.Buffer(make([]byte, bufSize), int(c.cfg.MaxBodyBytes))
-	var out []byte
-	for rs.Scan() {
-		line := rs.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		start := time.Now()
-		at, rest, ok := leadingIndex(line)
-		if !ok || at >= len(jobs) {
-			// An unattributable line: nothing to restamp it onto. Skip it;
-			// its entity will be rerouted as unanswered below if the stream
-			// also failed, or error-reported on clean end.
-			c.met.batchMergeNs.Add(int64(time.Since(start)))
-			continue
-		}
-		seen[at] = true
-		out = restamp(out[:0], &jobs[at], rest)
-		c.met.batchMergeNs.Add(int64(time.Since(start)))
-		em.emitRaw(out)
-	}
-	release()
-
-	var unanswered []batchJob
-	for i, ok := range seen {
-		if !ok {
-			unanswered = append(unanswered, jobs[i])
-		}
-	}
-	if len(unanswered) == 0 {
-		return
-	}
-	if err := rs.Err(); err != nil {
-		// The stream died under us: the backend (or the path to it) is
-		// gone. Everything unanswered moves to the next owner.
-		c.blame(ctx, b)
-		c.rerouteJobs(ctx, headerLine, bIdx, unanswered, em, sems)
-		return
-	}
-	// Clean end of stream with missing results — a backend bug rather than
-	// a transport failure; report rather than loop.
-	em.emitJobErrors(unanswered, codeBackendDown, "backend closed the stream without answering")
-}
-
-// emitJobErrors answers a set of jobs with the same in-band error.
-func (e *emitter) emitJobErrors(jobs []batchJob, code, msg string) {
-	for _, j := range jobs {
-		i := j.index
-		e.emit(&errorLine{ID: j.id, Index: &i, Error: &errorJSON{Code: code, Message: msg}})
-	}
-}
-
-// rerouteJobs re-dispatches failed jobs to each entity's next untried live
-// owner, grouping per target so a retried sub-batch stays batched. Entities
-// with no remaining owner answer no_backend in-band.
-func (c *Coordinator) rerouteJobs(ctx context.Context, headerLine []byte, failedIdx int, jobs []batchJob, em *emitter, sems []chan struct{}) {
-	regroup := make(map[int][]batchJob)
-	for _, j := range jobs {
-		j.tried |= 1 << uint(failedIdx)
-		nb, nIdx := c.route(j.key, j.tried)
-		if nb == nil {
-			c.met.noBackend.Add(1)
-			i := j.index
-			em.emit(&errorLine{ID: j.id, Index: &i, Error: &errorJSON{Code: codeNoBackend, Message: "no live backend for entity after retries"}})
-			continue
-		}
-		nb.retries.Add(1)
-		regroup[nIdx] = append(regroup[nIdx], j)
-	}
-	if len(regroup) == 0 {
-		return
-	}
-	// Pace the retry wave under the unified backoff policy: replaying the
-	// sub-batch instantly just marches the same burst one ring step per
-	// failure. Attempt depth is how many backends this wave has burned.
-	attempt := bits.OnesCount64(jobs[0].tried | 1<<uint(failedIdx))
-	if err := c.retry.Sleep(ctx, attempt, c.jitter); err != nil {
-		for _, g := range regroup {
-			em.emitJobErrors(g, codeBackendDown, "retry abandoned: "+err.Error())
-		}
-		return
-	}
-	for nIdx, g := range regroup {
-		// Take the target's pipeline slot like any first-try sub-batch; the
-		// failed backend's slot was already released, so slot acquisition
-		// is ordered and cannot deadlock.
-		sems[nIdx] <- struct{}{}
-		c.sendSubBatch(ctx, headerLine, nIdx, g, em, sems)
-	}
 }

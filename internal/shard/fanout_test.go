@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"io"
 	"testing"
 )
 
@@ -44,7 +45,7 @@ func TestLeadingIndex(t *testing.T) {
 // escaping too.
 func TestRestampMatchesEncoder(t *testing.T) {
 	for _, id := range []string{"", "e1", `q"uote`, `back\slash`, "<tag>&amp", "naïve ü ", "tab\tnew\nline\x00", "bad�", "del\x7f", "~plain ascii!"} {
-		j := batchJob{id: id, index: 42}
+		j := job{id: id, index: 42}
 		got := string(restamp([]byte("junk"), &j, []byte(`,"valid":true}`)))
 		want, err := json.Marshal(struct {
 			ID    string `json:"id,omitempty"`
@@ -57,5 +58,24 @@ func TestRestampMatchesEncoder(t *testing.T) {
 		if got != "junk"+string(want) {
 			t.Errorf("restamp(%q) = %s, want %s", id, got, want)
 		}
+	}
+}
+
+// TestBatchRelayAllocFree: relaying a batch result line — attribute,
+// restamp, write — allocates nothing once the hop's buffer has grown; the
+// bulk workload runs it once per entity.
+func TestBatchRelayAllocFree(t *testing.T) {
+	s := batchStream{&emitter{out: io.Discard, mergeNs: func(int64) {}}}
+	h := &inflight{jobs: []job{{id: "e1", index: 3}, {id: "e2", index: 9}}}
+	line := []byte(`{"id":"x","index":1,"valid":true,"resolved":{"city":"LA"},"rounds":0}`)
+	s.relay(h, line)
+	if !h.jobs[1].done || h.jobs[0].done {
+		t.Fatalf("relay marked %+v, want only the job at index 1", h.jobs)
+	}
+	if got := string(h.out); got != `{"id":"e2","index":9,"valid":true,"resolved":{"city":"LA"},"rounds":0}` {
+		t.Fatalf("relayed %s", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.relay(h, line) }); n != 0 {
+		t.Fatalf("batch relay allocates %v times per line", n)
 	}
 }

@@ -24,7 +24,7 @@ func (m *metrics) register(r *expo.Registry, ring *Ring, backends []*backend, pe
 	requests := r.Counter("crshard_requests_total", "Client requests, per endpoint.")
 	r.Counter("crshard_error_responses_total", "Non-2xx coordinator responses.").Int(m.errorResponses.Load)
 	r.Counter("crshard_no_backend_total", "Entities that exhausted every live backend and were answered no_backend.").Int(m.noBackend.Load)
-	r.Counter("crshard_retry_budget_exhausted_total", "Requests shed mid-failover when the retry budget ran out, instead of hammering a degraded fleet.").Int(m.retryBudgetExhausted.Load)
+	r.Counter("crshard_retry_budget_exhausted_total", "Requests, or batch and dataset reroute waves, shed mid-failover when the retry budget ran out, instead of hammering a degraded fleet.").Int(m.retryBudgetExhausted.Load)
 	r.Counter("crshard_replica_forwards_total", "Live-entity deltas and invalidations that reached the replica.").Int(m.replicaForwards.Load)
 	r.Counter("crshard_replica_forward_failures_total", "Replica forwards dropped after exhausting their budget; the replica's lag persists.").Int(m.replicaForwardFailures.Load)
 	r.Counter("crshard_replica_failover_total", "Entity requests served by a non-primary backend, per operation.").
@@ -41,7 +41,7 @@ func (m *metrics) register(r *expo.Registry, ring *Ring, backends []*backend, pe
 	up := r.Gauge("crshard_backend_up", "1 while the backend is on the live set.")
 	sent := r.Counter("crshard_backend_requests_total", "Sub-requests sent to the backend.")
 	failed := r.Counter("crshard_backend_errors_total", "Transport failures talking to the backend.")
-	retried := r.Counter("crshard_backend_retries_total", "Work the backend absorbed from a failed sibling.")
+	retried := r.Counter("crshard_backend_retries_total", "Work the backend absorbed from a failed sibling: keyed request attempts and rerouted batch or dataset entities.")
 	for i, b := range backends {
 		share.Float(func() float64 { return ring.Share(i) }, "backend", b.url)
 		up.Int(func() int64 {
