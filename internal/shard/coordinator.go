@@ -98,9 +98,11 @@ type Config struct {
 	// transport failure — a slow-but-healthy first attempt still gets the
 	// full Timeout — and is a context deadline threaded through
 	// Coordinator.send, so it also cuts a retry attempt that outlives it.
-	// A batch or dataset stream keeps one budget per failed hop: the hop's
-	// unanswered entities and every later wave of them charge it, and a
-	// wave it runs out on answers retry_budget_exhausted in-band.
+	// A batch or dataset stream keeps one budget per failed hop: the
+	// backoff pauses of the hop's unanswered entities and of every later
+	// wave of them charge it, while each rerouted hop keeps the full
+	// Timeout; a wave whose pause it cuts short answers
+	// retry_budget_exhausted in-band.
 	RetryBudget time.Duration
 	// Client overrides the HTTP client used to talk to backends (tests).
 	Client *http.Client

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -43,9 +42,9 @@ type dsStream struct {
 // are grouped by entity key and each entity is routed on the ring — its
 // rows always travel together, so grouping and resolution happen on one
 // backend — and each backend receives its entities as one ordinary
-// dataset request. Result lines are relayed verbatim as backends stream
-// them; the per-backend summary lines are absorbed into one merged
-// summary. A backend that dies mid-stream is marked down and only the
+// dataset request, their rows in the client's order. Result lines are
+// relayed verbatim as backends stream them; the per-backend summary lines
+// are absorbed into one merged summary. A backend that dies mid-stream is marked down and only the
 // entities it left unanswered move, each to its own next owner along the
 // ring, under the same backoff and retry budget as batch failover.
 func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
@@ -85,8 +84,8 @@ func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// One job per entity, its rows in input order. Jobs are keyed by the
-	// display key result lines carry, so two keys that display alike (a
+	// One job per entity, its rows numbered in input order. Jobs are keyed
+	// by the display key result lines carry, so two keys that display alike (a
 	// composite key with a comma in a cell) travel as one entity and every
 	// result line attributes to exactly one job.
 	var jobs []job
@@ -112,6 +111,7 @@ func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 			jobs = append(jobs, job{key: key, id: id})
 		}
 		jobs[i].body = append(append(jobs[i].body, line...), '\n')
+		jobs[i].rows = append(jobs[i].rows, int(rows))
 	}
 	if rowErr == nil {
 		rowErr = sc.Err()
@@ -126,7 +126,7 @@ func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 		// produce normal-looking results from part of its rows.
 		ds.emit(&errorLine{Error: &errorJSON{Code: codeBadRequest, Message: "stream aborted: " + rowErr.Error()}})
 	} else {
-		c.newFanout(r.Context(), "/v1/resolve/dataset", headerLine, ds).spread(r.Context(), jobs, 0)
+		c.newFanout(r.Context(), "/v1/resolve/dataset", headerLine, ds).spread(jobs, wave{})
 	}
 
 	wall := time.Since(start)
@@ -203,7 +203,7 @@ func (s *dsStream) relay(h *inflight, line []byte) {
 func (s *dsStream) giveUp(jobs []job, code, msg string) {
 	rows := 0
 	for _, j := range jobs {
-		rows += bytes.Count(j.body, newline)
+		rows += len(j.rows)
 	}
 	s.mu.Lock()
 	s.dropped += int64(rows)

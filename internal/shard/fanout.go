@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -19,6 +20,7 @@ import (
 // lines always travel together: a hop carries all of them or none.
 type job struct {
 	body  []byte // the entity's NDJSON lines, each newline-terminated (owned copy)
+	rows  []int  // dataset: the client's row number of each line of body
 	key   string // routing key
 	id    string // batch: the entity id (may be empty); dataset: the display key
 	index int    // batch: zero-based index in the client's stream
@@ -101,14 +103,22 @@ func (c *Coordinator) newFanout(client context.Context, path string, header []by
 	return f
 }
 
+// wave is where a group of jobs stands in failover: n counts the failed
+// hops before it, and deadline, set at the first failure, is when its
+// retry budget runs out.
+type wave struct {
+	n        int
+	deadline time.Time
+}
+
 // dispatch takes a pipeline slot on backend idx, waiting while Pipeline
 // hops are in flight there, and sends jobs on a goroutine that wg counts.
-func (f *fanout) dispatch(ctx context.Context, wg *sync.WaitGroup, idx int, jobs []job, attempt int) {
+func (f *fanout) dispatch(wg *sync.WaitGroup, idx int, jobs []job, w wave) {
 	f.sems[idx] <- struct{}{}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		f.send(ctx, idx, jobs, attempt)
+		f.send(idx, jobs, w)
 	}()
 }
 
@@ -116,10 +126,9 @@ func (f *fanout) dispatch(ctx context.Context, wg *sync.WaitGroup, idx int, jobs
 // caller holds, and settles every job the hop leaves unanswered: the
 // backend's error envelope answers them all, a transport failure reroutes
 // them, and a stream that ended cleanly without their lines reports them.
-// attempt counts the waves before this one.
-func (f *fanout) send(ctx context.Context, idx int, jobs []job, attempt int) {
+func (f *fanout) send(idx int, jobs []job, w wave) {
 	h := &inflight{jobs: jobs}
-	env, err := f.c.post(ctx, f.c.backends[idx], f.path, f.header, jobs, func(line []byte) { f.s.relay(h, line) })
+	env, err := f.c.post(f.client, f.c.backends[idx], f.path, f.header, jobs, func(line []byte) { f.s.relay(h, line) })
 	<-f.sems[idx]
 	left := jobs[:0]
 	for _, j := range jobs {
@@ -135,7 +144,7 @@ func (f *fanout) send(ctx context.Context, idx int, jobs []job, attempt int) {
 		// A backend bug rather than a transport failure; report, not loop.
 		f.s.giveUp(left, codeBackendDown, "backend closed the stream without answering")
 	default:
-		f.reroute(ctx, idx, left, attempt)
+		f.reroute(idx, left, w)
 	}
 }
 
@@ -143,16 +152,18 @@ func (f *fanout) send(ctx context.Context, idx int, jobs []job, attempt int) {
 // only its unanswered jobs move, each to its key's next live owner along
 // the ring. The wave backs off first under the unified policy. Its retry
 // budget starts at the first failure, as in Coordinator.send, and later
-// waves of the same jobs charge the same budget; when it runs out, the
-// wave answers retry_budget_exhausted in-band. Replaying an entity is
-// safe: resolution is a pure computation.
-func (f *fanout) reroute(ctx context.Context, failed int, jobs []job, attempt int) {
-	if attempt == 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = f.c.retryBudgetCtx(ctx)
-		defer cancel()
+// waves of the same jobs share it; it bounds only the pauses, so every hop
+// still gets the full per-hop Timeout to stream its results. A pause the
+// budget cuts short answers the wave retry_budget_exhausted in-band.
+// Replaying an entity is safe: resolution is a pure computation.
+func (f *fanout) reroute(failed int, jobs []job, w wave) {
+	if w.n == 0 {
+		w.deadline = time.Now().Add(f.c.cfg.RetryBudget)
 	}
-	if f.c.retry.Sleep(ctx, attempt+1, f.c.jitter) != nil {
+	pause, cancel := context.WithDeadline(f.client, w.deadline)
+	err := f.c.retry.Sleep(pause, w.n+1, f.c.jitter)
+	cancel()
+	if err != nil {
 		if f.client.Err() == nil { // the budget ran out, not the client
 			f.c.met.retryBudgetExhausted.Add(1)
 			f.s.giveUp(jobs, codeRetryBudget, "retry budget exhausted after "+f.c.cfg.RetryBudget.String())
@@ -162,13 +173,14 @@ func (f *fanout) reroute(ctx context.Context, failed int, jobs []job, attempt in
 	for i := range jobs {
 		jobs[i].tried |= 1 << uint(failed)
 	}
-	f.spread(ctx, jobs, attempt+1)
+	w.n++
+	f.spread(jobs, w)
 }
 
 // spread routes each job to its first live owner not yet tried, once per
 // key per wave so an entity's lines never split, sends one hop per owner
 // and waits for them all. Jobs with no owner left answer no_backend.
-func (f *fanout) spread(ctx context.Context, jobs []job, attempt int) {
+func (f *fanout) spread(jobs []job, w wave) {
 	groups := make(map[int][]job)
 	var lost []job
 	for _, j := range jobs {
@@ -177,7 +189,7 @@ func (f *fanout) spread(ctx context.Context, jobs []job, attempt int) {
 			lost = append(lost, j)
 			continue
 		}
-		if attempt > 0 {
+		if w.n > 0 {
 			b.retries.Add(1)
 		}
 		groups[idx] = append(groups[idx], j)
@@ -188,7 +200,7 @@ func (f *fanout) spread(ctx context.Context, jobs []job, attempt int) {
 	}
 	var wg sync.WaitGroup
 	for idx, g := range groups {
-		f.dispatch(ctx, &wg, idx, g, attempt)
+		f.dispatch(&wg, idx, g, w)
 	}
 	wg.Wait()
 }
@@ -205,10 +217,7 @@ func (c *Coordinator) post(ctx context.Context, b *backend, path string, header 
 		size += len(jobs[i].body)
 	}
 	body := append(make([]byte, 0, size), header...)
-	body = append(body, '\n')
-	for i := range jobs {
-		body = append(body, jobs[i].body...)
-	}
+	body = appendLines(append(body, '\n'), jobs)
 
 	b.requests.Add(1)
 	hop, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
@@ -245,6 +254,36 @@ func (c *Coordinator) post(ctx context.Context, b *backend, path string, header 
 		return nil, err
 	}
 	return nil, nil
+}
+
+// appendLines appends the jobs' lines in the client's order. A hop's batch
+// jobs are one line each and already in that order. A dataset's entities
+// may interleave in the client's input, and a backend windows its rows by
+// contiguity, so their rows are merged back by row number: each backend
+// sees its share of the input in input order, as a single crserve would.
+func appendLines(b []byte, jobs []job) []byte {
+	type row struct {
+		n    int
+		line []byte
+	}
+	var rows []row
+	for i := range jobs {
+		if jobs[i].rows == nil {
+			b = append(b, jobs[i].body...)
+			continue
+		}
+		rest := jobs[i].body
+		for _, n := range jobs[i].rows {
+			end := bytes.IndexByte(rest, '\n') + 1
+			rows = append(rows, row{n, rest[:end]})
+			rest = rest[end:]
+		}
+	}
+	slices.SortFunc(rows, func(x, y row) int { return x.n - y.n })
+	for _, r := range rows {
+		b = append(b, r.line...)
+	}
+	return b
 }
 
 // handleBatch is POST /v1/resolve/batch on the coordinator: the same NDJSON
@@ -322,14 +361,14 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		body := append(make([]byte, 0, len(line)+1), line...)
 		pending[bIdx] = append(pending[bIdx], job{body: append(body, '\n'), index: i, id: ek.ID, key: key})
 		if len(pending[bIdx]) >= c.cfg.ChunkEntities {
-			f.dispatch(r.Context(), &wg, bIdx, pending[bIdx], 0)
+			f.dispatch(&wg, bIdx, pending[bIdx], wave{})
 			pending[bIdx] = nil
 		}
 	}
 	scanErr := sc.Err()
 	for bIdx, jobs := range pending {
 		if len(jobs) > 0 {
-			f.dispatch(r.Context(), &wg, bIdx, jobs, 0)
+			f.dispatch(&wg, bIdx, jobs, wave{})
 		}
 	}
 	wg.Wait()

@@ -342,3 +342,122 @@ func nameIndex(t *testing.T, name string) int {
 	}
 	return i
 }
+
+// slowBackend is a real crserve that waits d before answering each POST.
+func slowBackend(t *testing.T, d time.Duration) string {
+	t.Helper()
+	s := server.New(server.Config{})
+	t.Cleanup(s.Close)
+	h := s.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			time.Sleep(d)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// TestShardStreamBudgetSparesSlowSibling: the retry budget bounds the
+// pauses between waves, not the hops. With a 50ms budget, one dying
+// backend and a sibling that takes 300ms to answer, the rerouted hops
+// still get the full per-hop Timeout: every entity of both streams
+// resolves like on a single crserve, and nothing is shed.
+func TestShardStreamBudgetSparesSlowSibling(t *testing.T) {
+	c, curl := newShard(t, []string{dyingBackend(t), slowBackend(t, 300*time.Millisecond)}, func(cfg *Config) {
+		cfg.RetryBase = 5 * time.Millisecond
+		cfg.RetryBudget = 50 * time.Millisecond
+	})
+	// Both streams must have entities on the dying backend 0.
+	n := 4
+	owned := func(format string) bool {
+		for i := 0; i < n; i++ {
+			if c.ring.Owners(fmt.Sprintf(format, i), 2)[0] == 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for ; !owned("e%d") || !owned("Edith %d"); n++ {
+		if n > 200 {
+			t.Fatal("no body up to 200 entities routes to backend 0")
+		}
+	}
+
+	// The dataset goes first: its results would answer the batch's
+	// entities from the slow backend's cache, which the batch parity check
+	// ignores and the dataset one does not.
+	body := edithDatasetBody(t, n)
+	resp, lines := postNDJSON(t, curl+"/v1/resolve/dataset", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("dataset status %d", resp.StatusCode)
+	}
+	requireDatasetMatchesSingle(t, n, lines, body)
+
+	c.backends[0].up.Store(true)
+	body = edithBatchBody(t, n)
+	resp, lines = postNDJSON(t, curl+"/v1/resolve/batch", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d", resp.StatusCode)
+	}
+	_, single := postNDJSON(t, newBackendURL(t)+"/v1/resolve/batch", body)
+	requireSameResults(t, n, collectBatch(t, lines), collectBatch(t, single))
+
+	if shed := c.met.retryBudgetExhausted.Load(); shed != 0 {
+		t.Fatalf("%d waves shed with retry_budget_exhausted", shed)
+	}
+	if c.backends[0].up.Load() || !c.backends[1].up.Load() {
+		t.Fatal("want the dying backend down and the slow one up")
+	}
+}
+
+// interleavedDatasetBody is edithDatasetBody with its rows dealt round
+// robin over the entities, so no entity's rows are adjacent.
+func interleavedDatasetBody(t *testing.T, n int) []byte {
+	t.Helper()
+	lines := bytes.SplitAfter(edithDatasetBody(t, n), []byte("\n"))
+	out := append([]byte(nil), lines[0]...)
+	for r := 0; r < 3; r++ {
+		for i := 0; i < n; i++ {
+			out = append(out, lines[1+3*i+r]...)
+		}
+	}
+	return out
+}
+
+// TestShardDatasetKeepsInputOrder: each backend gets its rows in the
+// client's order. A backend windows its input by contiguity, so a fleet of
+// one answers an unclustered "sorted" input exactly as a single crserve
+// does, one result line per contiguous run.
+func TestShardDatasetKeepsInputOrder(t *testing.T) {
+	_, curl := newShard(t, []string{newBackendURL(t)}, nil)
+	body := interleavedDatasetBody(t, 6)
+	answer := func(url string) ([]string, datasetSummaryJSON) {
+		resp, lines := postNDJSON(t, url+"/v1/resolve/dataset", body)
+		if resp.StatusCode != http.StatusOK || len(lines) == 0 {
+			t.Fatalf("%s: status %d, %d lines", url, resp.StatusCode, len(lines))
+		}
+		var last struct {
+			Summary *datasetSummaryJSON `json:"summary"`
+		}
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || last.Summary == nil {
+			t.Fatalf("%s: last line %q is not a summary", url, lines[len(lines)-1])
+		}
+		last.Summary.WallUs, last.Summary.RowsPerSec = 0, 0
+		results := lines[:len(lines)-1]
+		sort.Strings(results)
+		return results, *last.Summary
+	}
+	sharded, shSum := answer(curl)
+	single, siSum := answer(newBackendURL(t))
+	if siSum.Entities != 3*6 {
+		t.Fatalf("single crserve answered %d runs of an input with 18 one-row runs", siSum.Entities)
+	}
+	if shSum != siSum {
+		t.Fatalf("summaries differ:\n sharded %+v\n single  %+v", shSum, siSum)
+	}
+	if strings.Join(sharded, "\n") != strings.Join(single, "\n") {
+		t.Fatalf("result lines differ:\n sharded %s\n single  %s", strings.Join(sharded, "\n"), strings.Join(single, "\n"))
+	}
+}
