@@ -36,20 +36,23 @@ func postBatchStream(t *testing.T, url string) string {
 	if warm == nil {
 		t.Fatal("golden body has no warm entity")
 	}
-	post := func(b []byte) []byte {
-		resp, err := http.Post(url+"/v1/resolve/batch", "application/x-ndjson", bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		out, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("batch: status %d, %v: %s", resp.StatusCode, err, out)
-		}
-		return out
+	postNDJSON(t, url+"/v1/resolve/batch", warm)
+	return sortedStream(t, postNDJSON(t, url+"/v1/resolve/batch", body))
+}
+
+// postNDJSON posts an NDJSON body and returns the 200 response body.
+func postNDJSON(t *testing.T, url string, body []byte) []byte {
+	t.Helper()
+	resp, err := http.Post(url, "application/x-ndjson", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	post(warm)
-	return sortedStream(t, post(body))
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d, %v: %s", url, resp.StatusCode, err, out)
+	}
+	return out
 }
 
 // sortedStream orders NDJSON result lines by their index and zeroes their
@@ -96,5 +99,68 @@ func TestBatchStreamGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("batch stream differs from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
+// wallClock matches the dataset summary's wall-clock figures, the only
+// bytes of a dataset stream that differ between runs.
+var wallClock = regexp.MustCompile(`("(?:wallUs|rowsPerSec)":)[-+.e0-9]+`)
+
+// TestDatasetStreamGolden pins the bytes of crserve's /v1/resolve/dataset
+// output for one fixed sorted body, lines ordered by id and the summary's
+// wall-clock figures zeroed: a multi-row entity with trust-ranked sources,
+// int/float/null cells (an overflowing int, -0, exponents), ids that need
+// escaping, a numeric key, a single-row entity, an invalid specification,
+// an entity answered from the result cache (its rows are resolved alone
+// first) and a bad row that aborts the stream in-band, dropping the entity
+// still being grouped.
+func TestDatasetStreamGolden(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body, err := os.ReadFile(filepath.Join("testdata", "dataset_stream.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(body, []byte("\n"))
+	warm := append(append([]byte(nil), lines[0]...), '\n')
+	for _, l := range lines[1:] {
+		if bytes.HasPrefix(l, []byte(`{"entity":"warm"`)) {
+			warm = append(append(warm, l...), '\n')
+		}
+	}
+	postNDJSON(t, ts.URL+"/v1/resolve/dataset", warm)
+	out := postNDJSON(t, ts.URL+"/v1/resolve/dataset", body)
+
+	type line struct {
+		id   string
+		text []byte
+	}
+	var got []line
+	for _, l := range bytes.Split(bytes.TrimSuffix(out, []byte("\n")), []byte("\n")) {
+		var head struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(l, &head); err != nil {
+			t.Fatalf("bad line %q: %v", l, err)
+		}
+		got = append(got, line{head.ID, wallClock.ReplaceAll(l, []byte("${1}0"))})
+	}
+	sort.Slice(got, func(i, j int) bool {
+		if got[i].id != got[j].id {
+			return got[i].id < got[j].id
+		}
+		return bytes.Compare(got[i].text, got[j].text) < 0
+	})
+	var b bytes.Buffer
+	for _, l := range got {
+		b.Write(l.text)
+		b.WriteByte('\n')
+	}
+	path := filepath.Join("testdata", "dataset_stream.golden")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("dataset stream differs from %s:\ngot:\n%s\nwant:\n%s", path, b.String(), want)
 	}
 }
