@@ -108,26 +108,9 @@ func rulesKey(rs *ruleSetJSON) cacheKey {
 	})
 }
 
-// cachedResult is the immutable payload stored per key. It intentionally
-// excludes Timing (a cached answer took no solver time) and the request's
-// id/index, which are stamped per response.
-type cachedResult struct {
-	Valid    bool
-	Resolved map[string]any
-	Tuple    []any
-	Rounds   int
-}
-
-func toCached(r *resultJSON) *cachedResult {
-	return &cachedResult{Valid: r.Valid, Resolved: r.Resolved, Tuple: r.Tuple, Rounds: r.Rounds}
-}
-
-func (c *cachedResult) toResult() *resultJSON {
-	return &resultJSON{Valid: c.Valid, Resolved: c.Resolved, Tuple: c.Tuple, Rounds: c.Rounds, Cached: true}
-}
-
 // lru is a fixed-capacity, mutex-guarded LRU map from cache keys to opaque
-// immutable values (resolution results, compiled rule sets). A zero or
+// immutable values: compiled rule sets, the engine's *conflictres.Result
+// per resolution problem, and live entities' wire state snapshots. A zero or
 // negative capacity disables caching entirely.
 type lru struct {
 	mu  sync.Mutex

@@ -119,9 +119,6 @@ type errorJSON struct {
 	Message string `json:"message"`
 }
 
-// encodeValue converts a relation value into its JSON form.
-func encodeValue(v conflictres.Value) any { return v.AsJSON() }
-
 // wireCell is one raw JSON cell of a batch entity line. Unlike
 // json.RawMessage it keeps no copy of its own: json.Unmarshal hands
 // UnmarshalJSON a subslice of the input it was given, and batch lines are
@@ -206,25 +203,36 @@ func bindEntity[C ~[]byte](rules *conflictres.RuleSet, tuples [][]C, sources []s
 	return spec, nil
 }
 
-// encodeResult converts a resolution outcome into its wire form.
-func encodeResult(sch *conflictres.Schema, res *conflictres.Result) *resultJSON {
-	out := &resultJSON{Valid: res.Valid, Rounds: res.Rounds}
+// encodeResult renders a resolution outcome on the wire. A cached outcome
+// took no solver time here, so it carries cached instead of timing.
+func encodeResult(sch *conflictres.Schema, res *conflictres.Result, cached bool) *resultJSON {
+	out := &resultJSON{Valid: res.Valid, Rounds: res.Rounds, Cached: cached}
 	if !res.Valid {
 		return out
 	}
-	out.Resolved = make(map[string]any, len(res.Resolved))
-	for a, v := range res.Resolved {
-		out.Resolved[sch.Name(a)] = encodeValue(v)
-	}
-	out.Tuple = make([]any, len(res.Tuple))
-	for i, v := range res.Tuple {
-		out.Tuple[i] = encodeValue(v)
-	}
-	out.Timing = &timingJSON{
-		ValidityUs: res.Timing.Validity.Microseconds(),
-		DeduceUs:   res.Timing.Deduce.Microseconds(),
-		SuggestUs:  res.Timing.Suggest.Microseconds(),
-		TotalUs:    res.Timing.Total().Microseconds(),
+	out.Resolved, out.Tuple = encodeResolved(sch, res.Resolved, res.Tuple)
+	if !cached {
+		out.Timing = &timingJSON{
+			ValidityUs: res.Timing.Validity.Microseconds(),
+			DeduceUs:   res.Timing.Deduce.Microseconds(),
+			SuggestUs:  res.Timing.Suggest.Microseconds(),
+			TotalUs:    res.Timing.Total().Microseconds(),
+		}
 	}
 	return out
+}
+
+// encodeResolved renders resolved values, keyed by attribute name, and the
+// current tuple: the one value encoder of every result and state on the
+// wire.
+func encodeResolved(sch *conflictres.Schema, resolved map[conflictres.Attr]conflictres.Value, tuple conflictres.Tuple) (map[string]any, []any) {
+	names := make(map[string]any, len(resolved))
+	for a, v := range resolved {
+		names[sch.Name(a)] = v.AsJSON()
+	}
+	values := make([]any, len(tuple))
+	for i, v := range tuple {
+		values[i] = v.AsJSON()
+	}
+	return names, values
 }

@@ -64,127 +64,44 @@ func readLineBounded(br *bufio.Reader, max int64) (string, error) {
 	}
 }
 
-// codedErr carries an error-envelope code through the dataset engine.
-type codedErr struct {
-	code string
-	err  error
-}
-
-func (e *codedErr) Error() string { return e.err.Error() }
-func (e *codedErr) Unwrap() error { return e.err }
-
-func errCode(err error) string {
-	var ce *codedErr
-	if errors.As(err, &ce) {
-		return ce.code
-	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return codeTimeout
-	}
-	return codeResolveFail
-}
-
-// valueFromAny converts a cached wire value (string/int64/float64/nil, as
-// produced by encodeValue) back into a relation value.
-func valueFromAny(v any) relation.Value {
-	switch x := v.(type) {
-	case string:
-		return relation.String(x)
-	case int64:
-		return relation.Int(x)
-	case float64:
-		return relation.Float(x)
-	default:
-		return relation.Null
-	}
-}
-
-// toOutcome rehydrates a cached result for the dataset path.
-func (c *cachedResult) toOutcome(sch *conflictres.Schema) dataset.Outcome {
-	out := dataset.Outcome{Valid: c.Valid, Cached: true}
-	if !c.Valid {
-		return out
-	}
-	out.Tuple = make(relation.Tuple, len(c.Tuple))
-	for i, v := range c.Tuple {
-		out.Tuple[i] = valueFromAny(v)
-	}
-	out.Resolved = make(map[relation.Attr]relation.Value, len(c.Resolved))
-	for name, v := range c.Resolved {
-		if a, ok := sch.Attr(name); ok {
-			out.Resolved[a] = valueFromAny(v)
-		}
-	}
-	return out
-}
-
-// datasetResolver resolves grouped entities through the server's result
-// cache and per-entity deadline, mirroring resolveEntity for wire entities.
-// The solver is not preemptible, so a timed-out run is abandoned; sem ties
-// its slot to the solver actually finishing (like the batch path's
-// release), so cfg.Workers bounds true solver concurrency even when shards
-// move on after timeouts.
+// datasetResolver binds each grouped entity to the rule set and resolves
+// it through resolveEntity, holding a slot of sem while it does so that
+// Config.Workers bounds true solver concurrency even after timeouts.
 func (s *Server) datasetResolver(ctx context.Context, rules *conflictres.RuleSet, rk cacheKey, maxRounds int, mode conflictres.ResolutionMode, sem chan struct{}) dataset.Resolver {
-	return func(key string, in *relation.Instance) dataset.Outcome {
+	return func(_ string, in *relation.Instance) dataset.Outcome {
 		spec, err := conflictres.NewSpecFromRules(in, rules)
 		if err != nil {
 			return dataset.Outcome{Err: &codedErr{codeBadEntity, err}}
 		}
-		s.met.observeMode(mode.Strategy)
-		ckey := specKey(rk, spec, nil, mode)
-		if v, ok := s.results.get(ckey); ok {
-			return v.(*cachedResult).toOutcome(rules.Schema())
-		}
-		type outcome struct {
-			res *conflictres.Result
-			err error
-		}
 		sem <- struct{}{}
-		o, err := runTimed(ctx, s.cfg.Timeout, func() { <-sem }, func() outcome {
-			res, err := rules.Resolve(spec, nil, conflictres.Options{MaxRounds: maxRounds, Mode: mode})
-			return outcome{res, err}
-		})
+		res, cached, err := s.resolveEntity(ctx, rules, specKey(rk, spec, nil, mode), spec, maxRounds, mode, func() { <-sem })
 		if err != nil {
-			return dataset.Outcome{Err: &codedErr{codeTimeout, err}}
+			return dataset.Outcome{Err: err}
 		}
-		if o.err != nil {
-			return dataset.Outcome{Err: &codedErr{codeResolveFail, o.err}}
+		out := dataset.Outcome{Valid: res.Valid, Tuple: res.Tuple, Resolved: res.Resolved, Cached: cached}
+		if !cached {
+			out.Timing = res.Timing
 		}
-		s.met.observe(o.res)
-		s.results.put(ckey, toCached(encodeResult(rules.Schema(), o.res)))
-		return dataset.Outcome{
-			Valid:    o.res.Valid,
-			Tuple:    o.res.Tuple,
-			Resolved: o.res.Resolved,
-			Timing:   o.res.Timing,
-		}
+		return out
 	}
 }
 
 // wireWriter adapts the HTTP response to the dataset engine's Writer: one
 // resultJSON line per entity, flushed as it completes.
 type wireWriter struct {
+	s       *Server
 	enc     *json.Encoder
 	flusher http.Flusher
 	sch     *conflictres.Schema
-	met     *metrics
 }
 
 func (w *wireWriter) Write(res *dataset.Result) error {
 	out := &resultJSON{ID: dataset.DisplayKey(res.Key), Rows: res.Rows, Cached: res.Cached}
 	if res.Err != nil {
-		w.met.entitiesFailed.Add(1)
-		out.Error = &errorJSON{Code: errCode(res.Err), Message: res.Err.Error()}
+		out.Error = w.s.entityError(res.Err)
 	} else if res.Valid {
 		out.Valid = true
-		out.Resolved = make(map[string]any, len(res.Resolved))
-		for a, v := range res.Resolved {
-			out.Resolved[w.sch.Name(a)] = encodeValue(v)
-		}
-		out.Tuple = make([]any, len(res.Tuple))
-		for i, v := range res.Tuple {
-			out.Tuple[i] = encodeValue(v)
-		}
+		out.Resolved, out.Tuple = encodeResolved(w.sch, res.Resolved, res.Tuple)
 	}
 	if err := w.enc.Encode(out); err != nil {
 		return err
@@ -281,7 +198,7 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(gw)
-	ww := &wireWriter{enc: enc, flusher: gw, sch: sch, met: s.met}
+	ww := &wireWriter{s: s, enc: enc, flusher: gw, sch: sch}
 
 	sem := make(chan struct{}, s.cfg.Workers)
 	stats, runErr := dataset.Run(r.Context(), sch, reader,

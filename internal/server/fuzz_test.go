@@ -50,7 +50,7 @@ func FuzzSessionCreateJSON(f *testing.F) {
 		in := spec.Instance()
 		for _, id := range in.TupleIDs() {
 			for _, v := range in.Tuple(id) {
-				_ = encodeValue(v)
+				_ = v.AsJSON()
 				_ = v.Quote()
 			}
 		}

@@ -124,20 +124,23 @@ func runTimed[T any](ctx context.Context, timeout time.Duration, done func(), f 
 	}
 }
 
-// resolveEntity resolves one bound entity through the result cache under
-// key (see specKey). It returns a wire result ready for stamping with
-// id/index, or an error classified by code. release (may be nil) is
-// invoked exactly once when the entity's heavy work is over — immediately
-// on a cache hit, or when the solver goroutine finishes otherwise (which on
-// timeout is later than this function's return).
-func (s *Server) resolveEntity(ctx context.Context, rules *conflictres.RuleSet, key cacheKey, spec *conflictres.Spec, maxRounds int, mode conflictres.ResolutionMode, release func()) (*resultJSON, string, error) {
+// resolveEntity is the one stateless entity path of /v1/resolve, batch
+// and dataset: it resolves a bound entity through the result cache under
+// key (see specKey), which holds the engine's own *conflictres.Result, and
+// reports whether the answer came from the cache. Errors carry their
+// envelope code (see errCode). The caller holds a worker slot that release
+// (may be nil) frees exactly once when the entity's heavy work is over: at
+// once on a cache hit, or when the solver goroutine finishes otherwise —
+// on timeout that is later than this function's return, so Config.Workers
+// bounds true solver concurrency, not just wrapper count.
+func (s *Server) resolveEntity(ctx context.Context, rules *conflictres.RuleSet, key cacheKey, spec *conflictres.Spec, maxRounds int, mode conflictres.ResolutionMode, release func()) (res *conflictres.Result, cached bool, err error) {
 	if release == nil {
 		release = func() {}
 	}
 	s.met.observeMode(mode.Strategy)
 	if v, ok := s.results.get(key); ok {
 		release()
-		return v.(*cachedResult).toResult(), "", nil
+		return v.(*conflictres.Result), true, nil
 	}
 	type outcome struct {
 		res *conflictres.Result
@@ -150,15 +153,42 @@ func (s *Server) resolveEntity(ctx context.Context, rules *conflictres.RuleSet, 
 		return outcome{res, err}
 	})
 	if err != nil {
-		return nil, codeTimeout, err
+		return nil, false, &codedErr{codeTimeout, err}
 	}
 	if o.err != nil {
-		return nil, codeResolveFail, o.err
+		return nil, false, &codedErr{codeResolveFail, o.err}
 	}
 	s.met.observe(o.res)
-	out := encodeResult(rules.Schema(), o.res)
-	s.results.put(key, toCached(out))
-	return out, "", nil
+	s.results.put(key, o.res)
+	return o.res, false, nil
+}
+
+// codedErr carries an error-envelope code with its error.
+type codedErr struct {
+	code string
+	err  error
+}
+
+func (e *codedErr) Error() string { return e.err.Error() }
+func (e *codedErr) Unwrap() error { return e.err }
+
+// errCode is the envelope code of an entity's error.
+func errCode(err error) string {
+	var ce *codedErr
+	if errors.As(err, &ce) {
+		return ce.code
+	}
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		return codeTimeout
+	}
+	return codeResolveFail
+}
+
+// entityError counts one failed stream entity and renders its in-band
+// error.
+func (s *Server) entityError(err error) *errorJSON {
+	s.met.entitiesFailed.Add(1)
+	return &errorJSON{Code: errCode(err), Message: err.Error()}
 }
 
 // scanErrClass classifies a batch-stream scanner error: a line over the size
@@ -202,12 +232,14 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, codeBadEntity, err.Error())
 		return
 	}
-	out, code, err := s.resolveEntity(r.Context(), rules, specKey(rk, spec, e.Orders, mode), spec, req.MaxRounds, mode, nil)
+	res, cached, err := s.resolveEntity(r.Context(), rules, specKey(rk, spec, e.Orders, mode), spec, req.MaxRounds, mode, nil)
 	if err != nil {
+		code := errCode(err)
 		s.writeError(w, errStatus(code), code, err.Error())
 		return
 	}
-	out.ID = req.Entity.ID
+	out := encodeResult(rules.Schema(), res, cached)
+	out.ID = e.ID
 	writeJSON(w, out)
 }
 
@@ -344,21 +376,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var res *conflictres.Result
+			var cached bool
 			spec, err := bindEntity(rules, e.Tuples, e.Sources, e.Orders)
-			var out *resultJSON
-			code := codeBadEntity
 			if err != nil {
 				<-sem
+				err = &codedErr{codeBadEntity, err}
 			} else {
-				// The slot is released by resolveEntity when the solver
-				// actually finishes — on timeout that is later than the
-				// error response, so Workers bounds true solver
-				// concurrency, not just wrapper count.
-				out, code, err = s.resolveEntity(r.Context(), rules, specKey(rk, spec, e.Orders, mode), spec, hdr.MaxRounds, mode, func() { <-sem })
+				res, cached, err = s.resolveEntity(r.Context(), rules, specKey(rk, spec, e.Orders, mode), spec, hdr.MaxRounds, mode, func() { <-sem })
 			}
+			var out *resultJSON
 			if err != nil {
-				s.met.entitiesFailed.Add(1)
-				out = &resultJSON{Error: &errorJSON{Code: code, Message: err.Error()}}
+				out = &resultJSON{Error: s.entityError(err)}
+			} else {
+				out = encodeResult(rules.Schema(), res, cached)
 			}
 			out.ID, out.Index = e.ID, &i
 			emit(out)

@@ -21,7 +21,7 @@ func entityWire(t *testing.T, spec *model.Spec, rowIDs []int, orders []map[strin
 	for _, id := range rowIDs {
 		var row []any
 		for _, v := range spec.TI.Inst.Tuple(relation.TupleID(id)) {
-			row = append(row, encodeValue(v))
+			row = append(row, v.AsJSON())
 		}
 		rows = append(rows, row)
 	}

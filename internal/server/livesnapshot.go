@@ -82,7 +82,7 @@ func encodeDelta(d live.Delta) (deltaJSON, error) {
 	for _, row := range d.Rows {
 		cells := make([]json.RawMessage, len(row))
 		for i, v := range row {
-			raw, err := json.Marshal(encodeValue(v))
+			raw, err := json.Marshal(v.AsJSON())
 			if err != nil {
 				return dj, fmt.Errorf("encode cell: %w", err)
 			}
@@ -96,7 +96,7 @@ func encodeDelta(d live.Delta) (deltaJSON, error) {
 	if d.Answers != nil {
 		dj.Answers = make(map[string]json.RawMessage, len(d.Answers))
 		for name, v := range d.Answers {
-			raw, err := json.Marshal(encodeValue(v))
+			raw, err := json.Marshal(v.AsJSON())
 			if err != nil {
 				return dj, fmt.Errorf("encode answer: %w", err)
 			}

@@ -123,8 +123,8 @@ func (c Config) withDefaults() Config {
 // Server is the crserve HTTP resolution service.
 type Server struct {
 	cfg     Config
-	results *lru // cacheKey(rules+instance) -> *cachedResult
-	rules   *lru // cacheKey(rules)          -> *conflictres.RuleSet
+	results *lru // specKey -> *conflictres.Result; liveEntityKey -> *entityStateJSON
+	rules   *lru // rulesKey -> *conflictres.RuleSet
 	// sessions and liveReg are two instances of the one keyed store:
 	// answers entities behind /v1/session, rows entities behind /v1/entity.
 	sessions *live.Registry

@@ -81,7 +81,7 @@ func encodeSuggestion(sch *conflictres.Schema, sug conflictres.Suggestion) *sugg
 		for a, vals := range sug.Candidates {
 			enc := make([]any, len(vals))
 			for i, v := range vals {
-				enc[i] = encodeValue(v)
+				enc[i] = v.AsJSON()
 			}
 			out.Candidates[sch.Name(a)] = enc
 		}
@@ -105,7 +105,7 @@ func encodeSessionState(id string, res live.Result) *sessionStateJSON {
 	if !st.Valid {
 		return out
 	}
-	out.Resolved, out.Tuple = encodeResolved(res.Schema, st)
+	out.Resolved, out.Tuple = encodeResolved(res.Schema, st.Resolved, st.Tuple)
 	out.Complete = st.Complete()
 	if res.Suggestion != nil {
 		out.Suggestion = encodeSuggestion(res.Schema, *res.Suggestion)

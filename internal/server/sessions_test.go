@@ -45,7 +45,7 @@ func specWire(spec *model.Spec, id string) map[string]any {
 	for _, tid := range spec.TI.Inst.TupleIDs() {
 		var row []any
 		for _, v := range spec.TI.Inst.Tuple(tid) {
-			row = append(row, encodeValue(v))
+			row = append(row, v.AsJSON())
 		}
 		tuples = append(tuples, row)
 	}
