@@ -21,9 +21,10 @@ import (
 
 // Error codes the coordinator adds on top of the backend envelope.
 const (
-	codeBadRequest = "bad_request"
-	codeBadRules   = "invalid_rules"
-	codeTooLarge   = "body_too_large"
+	codeBadRequest  = "bad_request"
+	codeBadRules    = "invalid_rules"
+	codeUnknownMode = "unknown_mode"
+	codeTooLarge    = "body_too_large"
 	// codeNoBackend answers work that exhausted every live backend: the
 	// entity was routed, retried along its preference list, and no owner
 	// could take it.
@@ -619,14 +620,20 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(&st)
 }
 
-// compileHeaderRules validates a wire rule set locally so a bad header
-// answers a clean 400 before any backend traffic or streamed output. The
-// compiled set is discarded — backends compile (and cache) their own.
-func compileHeaderRules(rs *ruleSetJSON) error {
+// checkHeader validates a stream header's rule set (trust included) and
+// mode as crserve does, in crserve's order, so a bad header answers the
+// same 400 before any backend traffic or streamed output. The compiled set
+// is discarded — backends compile (and cache) their own.
+func checkHeader(rs *ruleSetJSON, mode string) (code string, err error) {
 	sch, err := conflictres.NewSchema(rs.Schema...)
-	if err != nil {
-		return err
+	if err == nil {
+		_, err = conflictres.CompileRulesTrust(sch, rs.Currency, rs.CFDs, rs.Trust)
 	}
-	_, err = conflictres.CompileRules(sch, rs.Currency, rs.CFDs)
-	return err
+	if err != nil {
+		return codeBadRules, err
+	}
+	if _, err := conflictres.ParseStrategy(mode); err != nil {
+		return codeUnknownMode, err
+	}
+	return "", nil
 }

@@ -74,8 +74,8 @@ func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, http.StatusBadRequest, codeBadRequest, `header needs "key": [column, ...]`)
 		return
 	}
-	if err := compileHeaderRules(&hdr.ruleSetJSON); err != nil {
-		c.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
+	if code, err := checkHeader(&hdr.ruleSetJSON, hdr.Mode); err != nil {
+		c.writeError(w, http.StatusBadRequest, code, err.Error())
 		return
 	}
 	keyFn, err := rowKeyFunc(&hdr)

@@ -322,8 +322,8 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, http.StatusBadRequest, codeBadRequest, "bad header line: "+err.Error())
 		return
 	}
-	if err := compileHeaderRules(&hdr.ruleSetJSON); err != nil {
-		c.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
+	if code, err := checkHeader(&hdr.ruleSetJSON, hdr.Mode); err != nil {
+		c.writeError(w, http.StatusBadRequest, code, err.Error())
 		return
 	}
 

@@ -176,3 +176,38 @@ func TestShardEntityModeSticky(t *testing.T) {
 		t.Fatalf("mode flip: status %d: %s, want 409", resp.StatusCode, data)
 	}
 }
+
+// TestShardStreamHeaderParity: a batch or dataset header with an unknown
+// mode or a bad trust statement answers the coordinator's client the same
+// 400 envelope, byte for byte, as one crserve answers, and no backend sees
+// the stream.
+func TestShardStreamHeaderParity(t *testing.T) {
+	c, curl := newShard(t, []string{newBackendURL(t)}, nil)
+	single := newBackendURL(t)
+	bodies := map[string][]byte{
+		"/v1/resolve/batch":   edithBatchBody(t, 2),
+		"/v1/resolve/dataset": edithDatasetBody(t, 2),
+	}
+	for path, body := range bodies {
+		for field, value := range map[string]any{"mode": "most-recent", "trust": []string{"not a trust statement"}} {
+			header, rows, _ := bytes.Cut(body, []byte("\n"))
+			var hdr map[string]any
+			if err := json.Unmarshal(header, &hdr); err != nil {
+				t.Fatal(err)
+			}
+			hdr[field] = value
+			bad := append(append(marshalLine(t, hdr), '\n'), rows...)
+			resp, want := postJSON(t, single+path, bad)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s bad %s: crserve status %d: %s", path, field, resp.StatusCode, want)
+			}
+			resp, got := postJSON(t, curl+path, bad)
+			if resp.StatusCode != http.StatusBadRequest || !bytes.Equal(got, want) {
+				t.Fatalf("%s bad %s: coordinator %d %s, crserve 400 %s", path, field, resp.StatusCode, got, want)
+			}
+		}
+	}
+	if n := c.backends[0].requests.Load(); n != 0 {
+		t.Fatalf("bad headers reached the backend %d times", n)
+	}
+}

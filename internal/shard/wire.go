@@ -12,12 +12,14 @@ type ruleSetJSON struct {
 	Schema   []string `json:"schema"`
 	Currency []string `json:"currency,omitempty"`
 	CFDs     []string `json:"cfds,omitempty"`
+	Trust    []string `json:"trust,omitempty"`
 }
 
 // batchHeader mirrors the first NDJSON line of a batch request.
 type batchHeader struct {
 	ruleSetJSON
-	MaxRounds int `json:"maxRounds,omitempty"`
+	MaxRounds int    `json:"maxRounds,omitempty"`
+	Mode      string `json:"mode,omitempty"`
 }
 
 // datasetHeader mirrors the first NDJSON line of a dataset request.
@@ -28,6 +30,7 @@ type datasetHeader struct {
 	Sorted     bool     `json:"sorted,omitempty"`
 	WindowRows int      `json:"windowRows,omitempty"`
 	MaxRounds  int      `json:"maxRounds,omitempty"`
+	Mode       string   `json:"mode,omitempty"`
 }
 
 // entityKey pulls just the entity id out of an entity line or a
