@@ -150,8 +150,9 @@ func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 
 // relay absorbs a backend summary line into the merged counters, and
 // relays any other line verbatim, attributing it to the job of h whose
-// display key it carries. A window split answers one entity with several
-// lines; all of them pass through.
+// display key it carries. A window split or an unclustered entity answers
+// in several lines, each reporting its rows; all of them pass through, and
+// the job is settled once they cover all of its rows.
 func (s *dsStream) relay(h *inflight, line []byte) {
 	start := time.Now()
 	var dl dsLine
@@ -178,7 +179,7 @@ func (s *dsStream) relay(h *inflight, line []byte) {
 		}
 	}
 	if i, ok := h.byID[dl.ID]; ok {
-		h.jobs[i].done = true
+		h.jobs[i].answered += dl.Rows
 	}
 	s.mu.Lock()
 	s.entities++
@@ -198,12 +199,12 @@ func (s *dsStream) relay(h *inflight, line []byte) {
 	s.emitRaw(line)
 }
 
-// giveUp counts the jobs' rows as dropped and tells the client, in one
-// error line, how much of the input went unresolved.
+// giveUp counts the jobs' unanswered rows as dropped and tells the client,
+// in one error line, how much of the input went unresolved.
 func (s *dsStream) giveUp(jobs []job, code, msg string) {
 	rows := 0
 	for _, j := range jobs {
-		rows += len(j.rows)
+		rows += len(j.rows) - j.answered
 	}
 	s.mu.Lock()
 	s.dropped += int64(rows)

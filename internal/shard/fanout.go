@@ -25,8 +25,14 @@ type job struct {
 	id    string // batch: the entity id (may be empty); dataset: the display key
 	index int    // batch: zero-based index in the client's stream
 	tried uint64 // bitmask of backend indices already attempted
-	done  bool   // a result line of the current hop answered it
+	// answered counts the lines of body the current hop's result lines
+	// answered: a batch entity's one line, or the rows a dataset result
+	// line reports (a split or unclustered entity answers in several).
+	answered int
 }
+
+// settled reports whether the current hop answered every line of j.
+func (j *job) settled() bool { return j.answered >= max(len(j.rows), 1) }
 
 // emitter serializes result lines onto the client response and accounts
 // merge-path time. It has one write path, emitRaw: backend result lines are
@@ -65,11 +71,11 @@ func (e *emitter) emit(v any) {
 // stream is what the batch and dataset fan-outs do differently; the hop,
 // the pipelining and the failover are shared.
 type stream interface {
-	// relay writes one backend result line to the client, marking done the
-	// job of h it answers, if any.
+	// relay writes one backend result line to the client, counting the
+	// lines it answers on the job of h it belongs to, if any.
 	relay(h *inflight, line []byte)
-	// giveUp answers jobs that no backend will resolve with an in-band
-	// error.
+	// giveUp answers the unanswered lines of jobs that no backend will
+	// resolve with an in-band error.
 	giveUp(jobs []job, code, msg string)
 }
 
@@ -126,15 +132,25 @@ func (f *fanout) dispatch(wg *sync.WaitGroup, idx int, jobs []job, w wave) {
 // caller holds, and settles every job the hop leaves unanswered: the
 // backend's error envelope answers them all, a transport failure reroutes
 // them, and a stream that ended cleanly without their lines reports them.
+// A job the failed hop answered only in part is reported, not resent: its
+// first lines already reached the client.
 func (f *fanout) send(idx int, jobs []job, w wave) {
 	h := &inflight{jobs: jobs}
 	env, err := f.c.post(f.client, f.c.backends[idx], f.path, f.header, jobs, func(line []byte) { f.s.relay(h, line) })
 	<-f.sems[idx]
 	left := jobs[:0]
+	var partial []job
 	for _, j := range jobs {
-		if !j.done {
+		switch {
+		case j.settled():
+		case j.answered > 0 && err != nil:
+			partial = append(partial, j)
+		default:
 			left = append(left, j)
 		}
+	}
+	if len(partial) > 0 {
+		f.s.giveUp(partial, codeBackendDown, "backend stream cut after answering part of the rows")
 	}
 	switch {
 	case len(left) == 0:
@@ -392,7 +408,7 @@ func (s batchStream) relay(h *inflight, line []byte) {
 		s.mergeNs(int64(time.Since(start)))
 		return
 	}
-	h.jobs[at].done = true
+	h.jobs[at].answered++
 	h.out = restamp(h.out[:0], &h.jobs[at], rest)
 	s.mergeNs(int64(time.Since(start)))
 	s.emitRaw(h.out)

@@ -69,7 +69,7 @@ func TestBatchRelayAllocFree(t *testing.T) {
 	h := &inflight{jobs: []job{{id: "e1", index: 3}, {id: "e2", index: 9}}}
 	line := []byte(`{"id":"x","index":1,"valid":true,"resolved":{"city":"LA"},"rounds":0}`)
 	s.relay(h, line)
-	if !h.jobs[1].done || h.jobs[0].done {
+	if !h.jobs[1].settled() || h.jobs[0].settled() {
 		t.Fatalf("relay marked %+v, want only the job at index 1", h.jobs)
 	}
 	if got := string(h.out); got != `{"id":"e2","index":9,"valid":true,"resolved":{"city":"LA"},"rounds":0}` {

@@ -461,3 +461,72 @@ func TestShardDatasetKeepsInputOrder(t *testing.T) {
 		t.Fatalf("result lines differ:\n sharded %s\n single  %s", strings.Join(sharded, "\n"), strings.Join(single, "\n"))
 	}
 }
+
+// TestShardDatasetPartialAnswerCounted: a backend that relays one result
+// line of an unclustered entity and then cuts has answered that entity in
+// part. The rest of its rows are reported in-band and counted as dropped,
+// not resent (its first line already reached the client); every other
+// entity resolves on the sibling, and the answered rows plus dropped
+// reconcile with the input rows.
+func TestShardDatasetPartialAnswerCounted(t *testing.T) {
+	cut, answered := cuttingBackend(t, 1)
+	sib := newRecordingBackend(t)
+	c, curl := newShard(t, []string{cut, sib.url}, nil)
+	// Two or more entities on the cutting backend keep its rows
+	// interleaved, so each of its result lines answers one row.
+	n, _ := datasetOwnedBy(t, c, 0, 2, 6, nil)
+	resp, lines := postNDJSON(t, curl+"/v1/resolve/dataset", interleavedDatasetBody(t, n))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("coordinator status %d", resp.StatusCode)
+	}
+	rows := make(map[string]int)
+	var errs []string
+	var sum *datasetSummaryJSON
+	for _, l := range lines {
+		var dl struct {
+			ID      string              `json:"id"`
+			Rows    int                 `json:"rows"`
+			Error   *errorJSON          `json:"error"`
+			Summary *datasetSummaryJSON `json:"summary"`
+		}
+		if err := json.Unmarshal([]byte(l), &dl); err != nil {
+			t.Fatalf("bad line %q: %v", l, err)
+		}
+		switch {
+		case dl.Summary != nil:
+			sum = dl.Summary
+		case dl.ID == "" && dl.Error != nil:
+			errs = append(errs, dl.Error.Code+": "+dl.Error.Message)
+		default:
+			rows[dl.ID] += dl.Rows
+		}
+	}
+	relayed := answered()
+	if len(relayed) != 1 {
+		t.Fatalf("cutting backend let %d lines through, want 1", len(relayed))
+	}
+	partial := relayed[0]
+	total := 0
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("Edith %d", i)
+		want := 3
+		if name == partial {
+			want = 1
+		}
+		if rows[name] != want {
+			t.Fatalf("%s: %d rows answered, want %d (lines %v)", name, rows[name], want, lines)
+		}
+		total += rows[name]
+	}
+	if sum == nil || sum.Rows != int64(3*n) || sum.Dropped != 2 || int64(total)+sum.Dropped != sum.Rows {
+		t.Fatalf("summary %+v does not reconcile %d answered rows with %d input rows", sum, total, 3*n)
+	}
+	if len(errs) != 1 || !strings.Contains(errs[0], "1 entities (2 rows) unresolved") {
+		t.Fatalf("in-band errors %q, want one for the partial entity's 2 rows", errs)
+	}
+	for _, req := range sib.requests() {
+		if req[partial] != 0 {
+			t.Fatalf("partially answered %s was resent: %v", partial, req)
+		}
+	}
+}

@@ -64,6 +64,7 @@ type errorLine struct {
 // raw line is relayed verbatim; these fields just drive merge accounting.
 type dsLine struct {
 	ID      string          `json:"id"`
+	Rows    int             `json:"rows"`
 	Valid   bool            `json:"valid"`
 	Cached  bool            `json:"cached"`
 	Error   json.RawMessage `json:"error"`
