@@ -34,6 +34,13 @@
 //	                         reports rule-cache warmth and live sessions
 //	GET  /metrics            Prometheus-style counters
 //
+// Every stateless entity — a /v1/resolve body, a batch line, a grouped
+// dataset instance — runs through one path, resolveEntity: the result
+// cache, which holds the engine's *conflictres.Result per problem, the
+// per-entity deadline, the pooled solver and the cache fill. Results,
+// dataset lines and session and live-entity states render their values
+// through one encoder, encodeResolved.
+//
 // Sessions and live entities are held in two instances of the keyed
 // live.Registry, with LRU eviction under Config.SessionCap / LiveCap and
 // TTL expiry under Config.SessionTTL / LiveTTL; a dropped, expired or

@@ -167,12 +167,7 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, codeBadRequest, `header needs "key": [column, ...]`)
 		return
 	}
-	rules, rk, err := s.compileRules(&hdr.ruleSetJSON)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
-		return
-	}
-	mode, ok := s.parseMode(w, hdr.Mode)
+	rules, rk, mode, ok := s.compileRequest(w, &hdr.ruleSetJSON, hdr.Mode)
 	if !ok {
 		return
 	}

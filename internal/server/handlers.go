@@ -67,16 +67,22 @@ func compileWireRules(rs *ruleSetJSON) (*conflictres.RuleSet, error) {
 	return conflictres.CompileRulesTrust(sch, rs.Currency, rs.CFDs, rs.Trust)
 }
 
-// parseMode maps a wire mode name onto a resolution mode, answering 400 with
-// the structured "unknown_mode" code on names no strategy claims. The empty
-// name is the default SAT strategy.
-func (s *Server) parseMode(w http.ResponseWriter, name string) (conflictres.ResolutionMode, bool) {
-	strat, err := conflictres.ParseStrategy(name)
+// compileRequest compiles a request's wire rule set (see compileRules) and
+// parses its mode name, the empty name being the default SAT strategy. On
+// failure it answers 400 itself — "invalid_rules", or "unknown_mode" for a
+// name no strategy claims — and reports false.
+func (s *Server) compileRequest(w http.ResponseWriter, rs *ruleSetJSON, modeName string) (*conflictres.RuleSet, cacheKey, conflictres.ResolutionMode, bool) {
+	rules, rk, err := s.compileRules(rs)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
+		return nil, rk, conflictres.ResolutionMode{}, false
+	}
+	strat, err := conflictres.ParseStrategy(modeName)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, codeUnknownMode, err.Error())
-		return conflictres.ResolutionMode{}, false
+		return nil, rk, conflictres.ResolutionMode{}, false
 	}
-	return conflictres.ResolutionMode{Strategy: strat}, true
+	return rules, rk, conflictres.ResolutionMode{Strategy: strat}, true
 }
 
 // compileRules returns the compiled rule set for a wire rule set and its
@@ -217,12 +223,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	rules, rk, err := s.compileRules(&req.ruleSetJSON)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
-		return
-	}
-	mode, ok := s.parseMode(w, req.Mode)
+	rules, rk, mode, ok := s.compileRequest(w, &req.ruleSetJSON, req.Mode)
 	if !ok {
 		return
 	}
@@ -254,14 +255,10 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	rules, _, err := s.compileRules(&req.ruleSetJSON)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
-		return
-	}
 	// Validity is strategy-independent, but an unknown mode is still the
 	// client's error — reject it the same way the resolve endpoints do.
-	if _, ok := s.parseMode(w, req.Mode); !ok {
+	rules, _, _, ok := s.compileRequest(w, &req.ruleSetJSON, req.Mode)
+	if !ok {
 		return
 	}
 	spec, err := bindEntity(rules, req.Entity.Tuples, req.Entity.Sources, req.Entity.Orders)
@@ -335,12 +332,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, codeBadRequest, "bad header line: "+err.Error())
 		return
 	}
-	rules, rk, err := s.compileRules(&hdr.ruleSetJSON)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
-		return
-	}
-	mode, ok := s.parseMode(w, hdr.Mode)
+	rules, rk, mode, ok := s.compileRequest(w, &hdr.ruleSetJSON, hdr.Mode)
 	if !ok {
 		return
 	}
@@ -376,17 +368,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var res *conflictres.Result
-			var cached bool
+			var out *resultJSON
 			spec, err := bindEntity(rules, e.Tuples, e.Sources, e.Orders)
 			if err != nil {
 				<-sem
-				err = &codedErr{codeBadEntity, err}
-			} else {
-				res, cached, err = s.resolveEntity(r.Context(), rules, specKey(rk, spec, e.Orders, mode), spec, hdr.MaxRounds, mode, func() { <-sem })
-			}
-			var out *resultJSON
-			if err != nil {
+				out = &resultJSON{Error: s.entityError(&codedErr{codeBadEntity, err})}
+			} else if res, cached, err := s.resolveEntity(r.Context(), rules, specKey(rk, spec, e.Orders, mode), spec, hdr.MaxRounds, mode, func() { <-sem }); err != nil {
 				out = &resultJSON{Error: s.entityError(err)}
 			} else {
 				out = encodeResult(rules.Schema(), res, cached)

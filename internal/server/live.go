@@ -151,12 +151,7 @@ func (s *Server) handleEntityUpsert(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	rules, rk, err := s.compileRules(&req.ruleSetJSON)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, codeBadRules, err.Error())
-		return
-	}
-	mode, ok := s.parseMode(w, req.Mode)
+	rules, rk, mode, ok := s.compileRequest(w, &req.ruleSetJSON, req.Mode)
 	if !ok {
 		return
 	}
