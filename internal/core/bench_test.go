@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -12,17 +13,26 @@ import (
 // path: the 128-entity mix of encode's BenchmarkEncodeBulkMix (Person rules
 // with ACPool 24 and 6×8 chains, Zipf(1.5) sizes over 2–40 tuples) through
 // one pooled Pipeline — NewSession (skeleton Build plus CNF load),
-// IsValid, DeduceOrder and TrueValues per entity, the way a pooled resolve
-// worker serves a batch. One op is one pass over the mix; the per-entity
-// metrics divide by the entity count. allocs/entity is the deterministic
-// regression anchor; clauses/entity is what each session loaded.
+// IsValid, DeduceOrder, TrueValues and TrustFill per entity, the way a
+// pooled resolve worker serves a batch. One op is one pass over the mix;
+// the per-entity metrics divide by the entity count. allocs/entity is the
+// deterministic regression anchor; clauses/entity is what each session
+// loaded. sources=0 runs the mix untagged, where TrustFill returns at once;
+// sources=4 tags every tuple with one of 4 sources under their trust chain,
+// as the fleet's bulk workload does, so TrustFill ranks the candidates.
 func BenchmarkPipelineBulkMix(b *testing.B) {
-	benchPipeline(b, datagen.Person(datagen.PersonConfig{
-		Entities: 128, MinTuples: 2, MaxTuples: 40, Seed: 7,
-		Skew:   datagen.SkewZipf,
-		ACPool: 24, StatusChains: 6, StatusChainLen: 8,
-		JobChains: 6, JobChainLen: 8,
-	}))
+	for _, sources := range []int{0, 4} {
+		b.Run(fmt.Sprintf("sources=%d", sources), func(b *testing.B) {
+			ds := datagen.Person(datagen.PersonConfig{
+				Entities: 128, MinTuples: 2, MaxTuples: 40, Seed: 7,
+				Skew:   datagen.SkewZipf,
+				ACPool: 24, StatusChains: 6, StatusChainLen: 8,
+				JobChains: 6, JobChainLen: 8,
+			})
+			ds.AssignSources(sources, 7)
+			benchPipeline(b, ds)
+		})
+	}
 }
 
 // BenchmarkPipelinePersonPaper is BenchmarkPipelineBulkMix under the
@@ -45,7 +55,7 @@ func benchPipeline(b *testing.B, ds *datagen.Dataset) {
 			s := p.NewSession(ent.Spec)
 			s.IsValid()
 			od, _ := s.DeduceOrder()
-			TrueValues(s.Encoding(), od)
+			TrustFill(s.Encoding(), od, TrueValues(s.Encoding(), od))
 			clauses += s.Stats().ClausesLoaded
 		}
 		return clauses

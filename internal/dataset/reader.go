@@ -202,9 +202,11 @@ func NewNDJSONArrayReader(r io.Reader, sch *relation.Schema, columns, keyCols []
 	return &NDJSONReader{sc: newLineScanner(r), sch: sch, plan: plan}, nil
 }
 
+// newLineScanner scans lines of up to 16 MiB. Its buffer starts at
+// bufio's default size and doubles only as far as the longest line needs.
 func newLineScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24)
 	return sc
 }
 
@@ -216,11 +218,7 @@ func (r *NDJSONReader) SetMaxLineBytes(n int) {
 	if n <= 0 {
 		return
 	}
-	buf := 1 << 20
-	if n < buf {
-		buf = n
-	}
-	r.sc.Buffer(make([]byte, 0, buf), n)
+	r.sc.Buffer(nil, n)
 }
 
 // Read returns the next row or io.EOF.

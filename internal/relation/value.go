@@ -109,7 +109,12 @@ func (v Value) Quote() string { return string(v.AppendQuote(nil)) }
 func (v Value) AppendQuote(b []byte) []byte {
 	switch v.kind {
 	case KindString:
-		return strconv.AppendQuote(b, v.s)
+		if !plainASCII(v.s) {
+			return strconv.AppendQuote(b, v.s)
+		}
+		// strconv.AppendQuote leaves printable ASCII other than the quote
+		// and the backslash as it is.
+		return append(append(append(b, '"'), v.s...), '"')
 	case KindInt:
 		return strconv.AppendInt(b, v.i, 10)
 	case KindFloat:
@@ -117,6 +122,17 @@ func (v Value) AppendQuote(b []byte) []byte {
 	default:
 		return append(b, "null"...)
 	}
+}
+
+// plainASCII reports whether s is printable ASCII without quotes or
+// backslashes.
+func plainASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
 }
 
 // Compare orders two values. Null sorts below every non-null value (the
@@ -180,8 +196,8 @@ func FromJSONScalar(raw []byte) (Value, error) {
 	}
 	switch raw[0] {
 	case '"':
-		if s, ok := plainJSONString(raw); ok {
-			return String(s), nil
+		if s, ok := PlainJSONString(raw); ok {
+			return String(string(s)), nil
 		}
 		var str string
 		if err := json.Unmarshal(raw, &str); err != nil {
@@ -202,22 +218,22 @@ func FromJSONScalar(raw []byte) (Value, error) {
 	}
 }
 
-// plainJSONString decodes a quoted JSON string whose body needs no
+// PlainJSONString returns the body of a quoted JSON string that needs no
 // decoding: printable ASCII without escapes or quotes, which is its own
 // value. Anything else reports false and takes json.Unmarshal's path, so
 // escapes, control bytes, non-ASCII and invalid UTF-8 decode (or fail)
-// exactly as the reference does.
-func plainJSONString(raw []byte) (string, bool) {
-	if len(raw) < 2 || raw[len(raw)-1] != '"' {
-		return "", false
+// exactly as the reference does. The body aliases raw.
+func PlainJSONString(raw []byte) ([]byte, bool) {
+	if len(raw) < 2 || raw[0] != '"' || raw[len(raw)-1] != '"' {
+		return nil, false
 	}
 	body := raw[1 : len(raw)-1]
 	for _, c := range body {
 		if c < 0x20 || c >= 0x80 || c == '"' || c == '\\' {
-			return "", false
+			return nil, false
 		}
 	}
-	return string(body), true
+	return body, true
 }
 
 // AsJSON returns the value in its JSON-encodable form — nil, string,

@@ -98,7 +98,8 @@ func TestFromJSONScalarMatchesReference(t *testing.T) {
 // canonical text forms: strings strconv-quoted, numbers as String renders
 // them, null as the keyword.
 func TestAppendQuoteForms(t *testing.T) {
-	for _, v := range []Value{Null, String(""), String("a\"b\\\n\x00é"), Int(-7), Int(math.MaxInt64),
+	for _, v := range []Value{Null, String(""), String("a\"b\\\n\x00é"), String("plain ASCII ~!"),
+		String("del\x7f"), String("tab\t"), String("\xff"), Int(-7), Int(math.MaxInt64),
 		Float(1), Float(-0.0), Float(2.5e-10), Float(math.Inf(1))} {
 		want := v.String()
 		if v.Kind() == KindString {

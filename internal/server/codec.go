@@ -37,9 +37,18 @@
 // Every stateless entity — a /v1/resolve body, a batch line, a grouped
 // dataset instance — runs through one path, resolveEntity: the result
 // cache, which holds the engine's *conflictres.Result per problem, the
-// per-entity deadline, the pooled solver and the cache fill. Results,
-// dataset lines and session and live-entity states render their values
-// through one encoder, encodeResolved.
+// per-entity deadline, the pooled solver and the cache fill.
+//
+// The NDJSON streams carry no reflection per entity. Batch lines are read
+// by wire.ScanEntity (crshard routes them with the same scanner's ScanID),
+// with cells aliasing the line and repeated cell strings interned per
+// request; a line the scanner does not take is decoded by json.Unmarshal,
+// so the entity and the error text are the same either way. Results, dataset lines and session and
+// live-entity states render through one append encoder, resultEncoder,
+// whose bytes equal encoding/json's. A stream header line seen before is
+// looked up by its exact bytes (wire.Headers); only a new line is decoded
+// and compiled. Each line is flushed only when no other line is queued
+// behind it (httpstream.Burst).
 //
 // Sessions and live entities are held in two instances of the keyed
 // live.Registry, with LRU eviction under Config.SessionCap / LiveCap and
@@ -48,11 +57,16 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
+	"sync"
 
 	"conflictres"
 	"conflictres/internal/relation"
+	"conflictres/internal/wire"
 )
 
 // ruleSetJSON names a schema and its constraint texts; it heads both the
@@ -79,11 +93,7 @@ type entityJSON struct {
 }
 
 // orderJSON is an explicit currency edge: tuple t1 ≼_attr tuple t2.
-type orderJSON struct {
-	Attr string `json:"attr"`
-	T1   int    `json:"t1"`
-	T2   int    `json:"t2"`
-}
+type orderJSON = wire.Order
 
 // resolveRequest is the body of POST /v1/resolve and /v1/validate.
 type resolveRequest struct {
@@ -95,64 +105,24 @@ type resolveRequest struct {
 	Mode string `json:"mode,omitempty"`
 }
 
-// timingJSON reports per-phase latency in microseconds.
-type timingJSON struct {
-	ValidityUs int64 `json:"validityUs"`
-	DeduceUs   int64 `json:"deduceUs"`
-	SuggestUs  int64 `json:"suggestUs"`
-	TotalUs    int64 `json:"totalUs"`
-}
-
-// resultJSON is one resolution outcome on the wire; in batch streams each
-// line also carries the input's id and zero-based line index.
-type resultJSON struct {
-	ID    string `json:"id,omitempty"`
-	Index *int   `json:"index,omitempty"`
-	// Rows is the input-row count grouped into this entity (dataset
-	// streams only).
-	Rows     int            `json:"rows,omitempty"`
-	Valid    bool           `json:"valid"`
-	Resolved map[string]any `json:"resolved,omitempty"`
-	Tuple    []any          `json:"tuple,omitempty"`
-	Rounds   int            `json:"rounds,omitempty"`
-	Timing   *timingJSON    `json:"timing,omitempty"`
-	Cached   bool           `json:"cached,omitempty"`
-	Error    *errorJSON     `json:"error,omitempty"`
-}
-
 // errorJSON is the structured error envelope every non-2xx response carries.
 type errorJSON struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
 }
 
-// wireCell is one raw JSON cell of a batch entity line. Unlike
-// json.RawMessage it keeps no copy of its own: json.Unmarshal hands
-// UnmarshalJSON a subslice of the input it was given, and batch lines are
-// decoded from an owned copy that lives as long as the entity, so every
-// cell aliases that one copy.
-type wireCell []byte
-
-func (c *wireCell) UnmarshalJSON(b []byte) error {
-	*c = b
-	return nil
-}
-
-// batchEntityJSON is entityJSON as a batch line decodes: the same fields,
-// with cells aliasing the line.
-type batchEntityJSON struct {
-	ID      string       `json:"id,omitempty"`
-	Tuples  [][]wireCell `json:"tuples"`
-	Sources []string     `json:"sources,omitempty"`
-	Orders  []orderJSON  `json:"orders,omitempty"`
-}
-
 // decodeBatchEntity decodes one batch entity line, which it takes
-// ownership of: the entity's cells alias it. A line that does not decode
-// is decoded again as entityJSON, so its error reads exactly as it always
-// has (the message names the Go types the decoder met).
-func decodeBatchEntity(line []byte) (*batchEntityJSON, error) {
-	e := new(batchEntityJSON)
+// ownership of: the entity's cells alias it. wire.ScanEntity reads the
+// lines it can; any other line is decoded by json.Unmarshal, and one that
+// does not decode is decoded again as entityJSON, so its error reads
+// exactly as it always has (the message names the Go types the decoder
+// met).
+func decodeBatchEntity(line []byte) (*wire.Entity, error) {
+	e := new(wire.Entity)
+	if wire.ScanEntity(line, e) {
+		return e, nil
+	}
+	*e = wire.Entity{}
 	err := json.Unmarshal(line, e)
 	if err == nil {
 		return e, nil
@@ -163,12 +133,61 @@ func decodeBatchEntity(line []byte) (*batchEntityJSON, error) {
 	return nil, err
 }
 
+// internCap bounds the distinct cell strings one request interns, so a
+// stream of unique strings cannot grow the table without bound.
+const internCap = 4096
+
+// interner decodes a request's cells as relation.FromJSONScalar does, but
+// every plain string cell with the same text shares one string: entities
+// of one stream repeat most of their cell texts. Entities bind
+// concurrently, so the table is locked.
+type interner struct {
+	mu sync.Mutex
+	m  map[string]string
+}
+
+// interners recycles the tables across requests: a table sized for a
+// typical batch's distinct cell strings rarely grows while it fills.
+var interners = sync.Pool{New: func() any { return &interner{m: make(map[string]string, 512)} }}
+
+// newInterner checks out an empty table; release returns it once no entity
+// of the request binds any more.
+func newInterner() *interner { return interners.Get().(*interner) }
+
+func (in *interner) release() {
+	clear(in.m)
+	interners.Put(in)
+}
+
+func (in *interner) value(raw []byte) (conflictres.Value, error) {
+	body, ok := relation.PlainJSONString(raw)
+	if !ok {
+		return relation.FromJSONScalar(raw)
+	}
+	in.mu.Lock()
+	s, hit := in.m[string(body)]
+	if !hit {
+		s = string(body)
+		if len(in.m) < internCap {
+			in.m[s] = s
+		}
+	}
+	in.mu.Unlock()
+	return conflictres.String(s), nil
+}
+
 // bindEntity turns a wire entity's tuples, source tags and explicit
 // currency orders into a specification bound to the compiled rule set.
 // Cells decode through relation.FromJSONScalar, the shared scalar codec of
 // every wire surface (integral numbers become ints; booleans and nested
 // structures are rejected).
 func bindEntity[C ~[]byte](rules *conflictres.RuleSet, tuples [][]C, sources []string, orders []orderJSON) (*conflictres.Spec, error) {
+	return bindCells(rules, tuples, sources, orders, relation.FromJSONScalar)
+}
+
+// bindCells is bindEntity with the cell decoder given: a batch stream
+// passes its interner's.
+func bindCells[C ~[]byte](rules *conflictres.RuleSet, tuples [][]C, sources []string, orders []orderJSON, cell func([]byte) (conflictres.Value, error)) (*conflictres.Spec, error) {
 	if len(tuples) == 0 {
 		return nil, fmt.Errorf("entity has no tuples")
 	}
@@ -184,7 +203,7 @@ func bindEntity[C ~[]byte](rules *conflictres.RuleSet, tuples [][]C, sources []s
 			return nil, fmt.Errorf("tuple %d has %d values, schema has %d", ti, len(row), sch.Len())
 		}
 		for ai, raw := range row {
-			v, err := relation.FromJSONScalar(raw)
+			v, err := cell(raw)
 			if err != nil {
 				return nil, fmt.Errorf("tuple %d, attribute %s: %w", ti, sch.Name(conflictres.Attr(ai)), err)
 			}
@@ -210,36 +229,180 @@ func bindEntity[C ~[]byte](rules *conflictres.RuleSet, tuples [][]C, sources []s
 	return spec, nil
 }
 
-// encodeResult renders a resolution outcome on the wire. A cached outcome
-// took no solver time here, so it carries cached instead of timing.
-func encodeResult(sch *conflictres.Schema, res *conflictres.Result, cached bool) *resultJSON {
-	out := &resultJSON{Valid: res.Valid, Rounds: res.Rounds, Cached: cached}
-	if !res.Valid {
-		return out
-	}
-	out.Resolved, out.Tuple = encodeResolved(sch, res.Resolved, res.Tuple)
-	if !cached {
-		out.Timing = &timingJSON{
-			ValidityUs: res.Timing.Validity.Microseconds(),
-			DeduceUs:   res.Timing.Deduce.Microseconds(),
-			SuggestUs:  res.Timing.Suggest.Microseconds(),
-			TotalUs:    res.Timing.Total().Microseconds(),
+// resultLine is one resolution outcome on the wire, in the order its
+// fields are written; in streams it also carries the input's id and
+// zero-based line index (batch) or grouped row count (dataset).
+type resultLine struct {
+	id    string
+	index int // < 0: no index field
+	rows  int
+	valid bool
+	// resolved and tuple are written only for a valid outcome.
+	resolved map[conflictres.Attr]conflictres.Value
+	tuple    conflictres.Tuple
+	rounds   int
+	timing   *conflictres.Timing // nil: no timing field
+	cached   bool
+	err      *errorJSON
+}
+
+// outcomeLine is res as a result line. A cached outcome took no solver
+// time here, so it carries cached instead of timing.
+func outcomeLine(res *conflictres.Result, cached bool) resultLine {
+	out := resultLine{index: -1, valid: res.Valid, rounds: res.Rounds, cached: cached}
+	if res.Valid {
+		out.resolved, out.tuple = res.Resolved, res.Tuple
+		if !cached {
+			out.timing = &res.Timing
 		}
 	}
 	return out
 }
 
-// encodeResolved renders resolved values, keyed by attribute name, and the
-// current tuple: the one value encoder of every result and state on the
-// wire.
-func encodeResolved(sch *conflictres.Schema, resolved map[conflictres.Attr]conflictres.Value, tuple conflictres.Tuple) (map[string]any, []any) {
-	names := make(map[string]any, len(resolved))
-	for a, v := range resolved {
-		names[sch.Name(a)] = v.AsJSON()
+// resultEncoder is the one encoder of every result, dataset line and
+// session and live-entity state on the wire. It appends straight into a
+// byte buffer, and its bytes are those encoding/json writes for the same
+// values: fields in declaration order with empty ones left out, resolved
+// attributes in name order, strings escaped alike and floats formatted
+// alike.
+type resultEncoder struct {
+	sch *conflictres.Schema
+	// byName lists the schema's attributes sorted by name, the order
+	// encoding/json writes map keys in.
+	byName []conflictres.Attr
+}
+
+func newResultEncoder(sch *conflictres.Schema) *resultEncoder {
+	byName := make([]conflictres.Attr, sch.Len())
+	for i := range byName {
+		byName[i] = conflictres.Attr(i)
 	}
-	values := make([]any, len(tuple))
+	slices.SortFunc(byName, func(a, b conflictres.Attr) int {
+		return cmp.Compare(sch.Name(a), sch.Name(b))
+	})
+	return &resultEncoder{sch: sch, byName: byName}
+}
+
+// appendLine appends r as one JSON object. It reports false, with b as it
+// was, where encoding/json would fail: on a NaN or infinite float.
+func (e *resultEncoder) appendLine(b []byte, r *resultLine) ([]byte, bool) {
+	start := len(b)
+	b = append(b, '{')
+	if r.id != "" {
+		b = wire.AppendString(append(b, `"id":`...), r.id)
+		b = append(b, ',')
+	}
+	if r.index >= 0 {
+		b = strconv.AppendInt(append(b, `"index":`...), int64(r.index), 10)
+		b = append(b, ',')
+	}
+	if r.rows != 0 {
+		b = strconv.AppendInt(append(b, `"rows":`...), int64(r.rows), 10)
+		b = append(b, ',')
+	}
+	b = strconv.AppendBool(append(b, `"valid":`...), r.valid)
+	ok := true
+	if len(r.resolved) > 0 {
+		b, ok = e.appendResolved(append(b, `,"resolved":`...), r.resolved)
+	}
+	if len(r.tuple) > 0 && ok {
+		b, ok = e.appendTuple(append(b, `,"tuple":`...), r.tuple)
+	}
+	if !ok {
+		return b[:start], false
+	}
+	if r.rounds != 0 {
+		b = strconv.AppendInt(append(b, `,"rounds":`...), int64(r.rounds), 10)
+	}
+	if t := r.timing; t != nil {
+		b = strconv.AppendInt(append(b, `,"timing":{"validityUs":`...), t.Validity.Microseconds(), 10)
+		b = strconv.AppendInt(append(b, `,"deduceUs":`...), t.Deduce.Microseconds(), 10)
+		b = strconv.AppendInt(append(b, `,"suggestUs":`...), t.Suggest.Microseconds(), 10)
+		b = strconv.AppendInt(append(b, `,"totalUs":`...), t.Total().Microseconds(), 10)
+		b = append(b, '}')
+	}
+	if r.cached {
+		b = append(b, `,"cached":true`...)
+	}
+	if r.err != nil {
+		b = wire.AppendString(append(b, `,"error":{"code":`...), r.err.Code)
+		b = wire.AppendString(append(b, `,"message":`...), r.err.Message)
+		b = append(b, '}')
+	}
+	return append(b, '}'), true
+}
+
+// appendResolved appends resolved values as an object keyed by attribute
+// name.
+func (e *resultEncoder) appendResolved(b []byte, resolved map[conflictres.Attr]conflictres.Value) ([]byte, bool) {
+	b = append(b, '{')
+	first, ok := true, true
+	for _, a := range e.byName {
+		v, has := resolved[a]
+		if !has {
+			continue
+		}
+		if !first {
+			b = append(b, ',')
+		}
+		first = false
+		b = wire.AppendString(b, e.sch.Name(a))
+		if b, ok = appendValue(append(b, ':'), v); !ok {
+			return b, false
+		}
+	}
+	return append(b, '}'), true
+}
+
+// appendTuple appends a tuple's values as an array.
+func (e *resultEncoder) appendTuple(b []byte, tuple conflictres.Tuple) ([]byte, bool) {
+	b = append(b, '[')
+	ok := true
 	for i, v := range tuple {
-		values[i] = v.AsJSON()
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if b, ok = appendValue(b, v); !ok {
+			return b, false
+		}
+	}
+	return append(b, ']'), true
+}
+
+// appendValue appends one value in its JSON form, Value.AsJSON's.
+func appendValue(b []byte, v conflictres.Value) ([]byte, bool) {
+	switch v.Kind() {
+	case relation.KindString:
+		return wire.AppendString(b, v.Str()), true
+	case relation.KindInt:
+		return strconv.AppendInt(b, v.Int64(), 10), true
+	case relation.KindFloat:
+		return wire.AppendFloat(b, v.Float64())
+	default:
+		return append(b, "null"...), true
+	}
+}
+
+// encodeResolved renders a state's resolved values and current tuple for
+// the session and live-entity bodies, through the result encoder. A value
+// encoding/json refuses renders as invalid JSON, so marshalling the body
+// fails as it did when the values were marshalled themselves.
+func encodeResolved(sch *conflictres.Schema, resolved map[conflictres.Attr]conflictres.Value, tuple conflictres.Tuple) (json.RawMessage, json.RawMessage) {
+	e := newResultEncoder(sch)
+	var names, values []byte
+	ok := true
+	if len(resolved) > 0 {
+		names, ok = e.appendResolved(nil, resolved)
+	}
+	if len(tuple) > 0 && ok {
+		values, ok = e.appendTuple(nil, tuple)
+	}
+	if !ok {
+		return json.RawMessage("NaN"), nil
 	}
 	return names, values
 }
+
+// lineBufs recycles the buffers result lines are encoded into, one per
+// entity in flight.
+var lineBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}

@@ -7,13 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
+	"sync"
 	"time"
 
 	"conflictres"
 	"conflictres/internal/dataset"
 	"conflictres/internal/httpstream"
 	"conflictres/internal/relation"
+	"conflictres/internal/wire"
 )
 
 // datasetHeader is the first NDJSON line of a dataset-resolution request.
@@ -40,28 +41,51 @@ type datasetHeader struct {
 // cannot buffer unbounded rows server-side.
 const maxWindowRows = 1 << 20
 
+// bodyReaders recycles the dataset handler's body readers; dataset.Run
+// reads its rows from one and is done with it when it returns.
+var bodyReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, wire.LineBufSize) }}
+
 // readLineBounded reads one newline-terminated line from br, failing with
 // bufio.ErrTooLong once the line exceeds max bytes — it never buffers more
 // than max, so a header with no newline cannot exhaust server memory.
-func readLineBounded(br *bufio.Reader, max int64) (string, error) {
-	var sb strings.Builder
+func readLineBounded(br *bufio.Reader, max int64) ([]byte, error) {
+	var line []byte
 	for {
 		chunk, err := br.ReadSlice('\n')
-		if int64(sb.Len())+int64(len(chunk)) > max {
-			return "", bufio.ErrTooLong
+		if int64(len(line))+int64(len(chunk)) > max {
+			return nil, bufio.ErrTooLong
 		}
-		sb.Write(chunk)
+		line = append(line, chunk...)
 		switch err {
 		case nil:
-			return sb.String(), nil
+			return line, nil
 		case bufio.ErrBufferFull:
 			continue
 		default:
 			// io.EOF (possibly with a final unterminated line) or a read
 			// failure; report it with whatever was gathered.
-			return sb.String(), err
+			return line, err
 		}
 	}
+}
+
+// datasetStreamHeader returns a dataset stream's compiled header: looked
+// up if the line was seen before, decoded, checked and compiled otherwise,
+// answering 400 itself on a bad one.
+func (s *Server) datasetStreamHeader(w http.ResponseWriter, line []byte) (*compiledHeader, bool) {
+	if h, ok := s.datasetHeaders.Get(line); ok {
+		return h, true
+	}
+	hdr := new(datasetHeader)
+	if err := json.Unmarshal(line, hdr); err != nil {
+		s.writeError(w, http.StatusBadRequest, codeBadRequest, "bad header line: "+err.Error())
+		return nil, false
+	}
+	if len(hdr.Key) == 0 {
+		s.writeError(w, http.StatusBadRequest, codeBadRequest, `header needs "key": [column, ...]`)
+		return nil, false
+	}
+	return s.compileHeader(w, &s.datasetHeaders, line, &hdr.ruleSetJSON, hdr.Mode, hdr.MaxRounds, hdr)
 }
 
 // datasetResolver binds each grouped entity to the rule set and resolves
@@ -87,30 +111,28 @@ func (s *Server) datasetResolver(ctx context.Context, rules *conflictres.RuleSet
 }
 
 // wireWriter adapts the HTTP response to the dataset engine's Writer: one
-// resultJSON line per entity, flushed as it completes.
+// result line per entity, flushed when the engine has no further result
+// queued behind it (see dataset.BurstWriter).
 type wireWriter struct {
-	s       *Server
-	enc     *json.Encoder
-	flusher http.Flusher
-	sch     *conflictres.Schema
+	s  *Server
+	lw *lineWriter
 }
 
 func (w *wireWriter) Write(res *dataset.Result) error {
-	out := &resultJSON{ID: dataset.DisplayKey(res.Key), Rows: res.Rows, Cached: res.Cached}
+	out := resultLine{id: dataset.DisplayKey(res.Key), index: -1, rows: res.Rows, cached: res.Cached}
 	if res.Err != nil {
-		out.Error = w.s.entityError(res.Err)
+		out.err = w.s.entityError(res.Err)
 	} else if res.Valid {
-		out.Valid = true
-		out.Resolved, out.Tuple = encodeResolved(w.sch, res.Resolved, res.Tuple)
+		out.valid = true
+		out.resolved, out.tuple = res.Resolved, res.Tuple
 	}
-	if err := w.enc.Encode(out); err != nil {
-		return err
-	}
-	if w.flusher != nil {
-		w.flusher.Flush()
-	}
+	w.lw.write(&out, true)
 	return nil
 }
+
+// EndBurst flushes the lines written since the engine last found its
+// result queue empty.
+func (w *wireWriter) EndBurst() { w.lw.endBurst() }
 
 func (w *wireWriter) Flush() error { return nil }
 
@@ -147,31 +169,27 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	// cannot full-duplex; see httpstream).
 	gw := httpstream.NewGatedWriter(w)
 	defer gw.Open() // cover reads that stop short of body EOF
-	br := bufio.NewReaderSize(gw.BodyEOF(r.Body), 64<<10)
+	br := bodyReaders.Get().(*bufio.Reader)
+	br.Reset(gw.BodyEOF(r.Body))
+	defer func() {
+		br.Reset(nil)
+		bodyReaders.Put(br)
+	}()
 	headerLine, err := readLineBounded(br, s.cfg.MaxBodyBytes)
 	if errors.Is(err, bufio.ErrTooLong) {
 		s.writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge,
 			fmt.Sprintf("header line exceeds %d bytes", s.cfg.MaxBodyBytes))
 		return
 	}
-	if err != nil && headerLine == "" {
+	if err != nil && len(headerLine) == 0 {
 		s.writeError(w, http.StatusBadRequest, codeBadRequest, "empty dataset: missing header line")
 		return
 	}
-	var hdr datasetHeader
-	if err := json.Unmarshal([]byte(headerLine), &hdr); err != nil {
-		s.writeError(w, http.StatusBadRequest, codeBadRequest, "bad header line: "+err.Error())
-		return
-	}
-	if len(hdr.Key) == 0 {
-		s.writeError(w, http.StatusBadRequest, codeBadRequest, `header needs "key": [column, ...]`)
-		return
-	}
-	rules, rk, mode, ok := s.compileRequest(w, &hdr.ruleSetJSON, hdr.Mode)
+	h, ok := s.datasetStreamHeader(w, headerLine)
 	if !ok {
 		return
 	}
-	sch := rules.Schema()
+	hdr, sch := h.ds, h.rules.Schema()
 
 	var reader *dataset.NDJSONReader
 	if len(hdr.Columns) > 0 {
@@ -192,22 +210,22 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(gw)
-	ww := &wireWriter{s: s, enc: enc, flusher: gw, sch: sch}
+	lw := &lineWriter{gw: gw, enc: h.enc}
 
 	sem := make(chan struct{}, s.cfg.Workers)
 	stats, runErr := dataset.Run(r.Context(), sch, reader,
-		s.datasetResolver(r.Context(), rules, rk, hdr.MaxRounds, mode, sem), ww,
+		s.datasetResolver(r.Context(), h.rules, h.rk, h.maxRounds, h.mode, sem), &wireWriter{s: s, lw: lw},
 		dataset.Options{
 			Shards:     s.cfg.Workers,
 			WindowRows: windowRows,
 			Sorted:     hdr.Sorted,
 		})
 	s.met.datasetRows.Add(stats.RowsRead)
+	enc := json.NewEncoder(gw)
 	if runErr != nil {
 		// The status line is long gone; report the failure in-band.
 		code, _ := scanErrClass(runErr)
-		enc.Encode(&resultJSON{Error: &errorJSON{Code: code, Message: "stream aborted: " + runErr.Error()}})
+		lw.write(&resultLine{index: -1, err: &errorJSON{Code: code, Message: "stream aborted: " + runErr.Error()}}, true)
 	}
 	enc.Encode(map[string]*datasetSummaryJSON{"summary": {
 		Rows:          stats.RowsRead,

@@ -13,6 +13,7 @@ import (
 
 	"conflictres"
 	"conflictres/internal/httpstream"
+	"conflictres/internal/wire"
 )
 
 // Error codes carried in the structured error envelope.
@@ -239,9 +240,12 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errStatus(code), code, err.Error())
 		return
 	}
-	out := encodeResult(rules.Schema(), res, cached)
-	out.ID = e.ID
-	writeJSON(w, out)
+	out := outcomeLine(res, cached)
+	out.id = e.ID
+	w.Header().Set("Content-Type", "application/json")
+	if b, ok := newResultEncoder(rules.Schema()).appendLine(nil, &out); ok {
+		w.Write(append(b, '\n'))
+	}
 }
 
 // handleValidate is POST /v1/validate: validity check only; with
@@ -299,6 +303,87 @@ type batchHeader struct {
 	Mode string `json:"mode,omitempty"`
 }
 
+// compiledHeader is a stream header line decoded, checked and compiled:
+// what a header line seen before is looked up as.
+type compiledHeader struct {
+	rules     *conflictres.RuleSet
+	rk        cacheKey
+	mode      conflictres.ResolutionMode
+	maxRounds int
+	enc       *resultEncoder
+	// ds is a dataset stream's grouping shape; nil for batch streams.
+	ds *datasetHeader
+}
+
+// compileHeader compiles a decoded stream header (see compileRequest,
+// which answers 400 itself on failure) and keeps the result under its
+// exact line in hdrs.
+func (s *Server) compileHeader(w http.ResponseWriter, hdrs *wire.Headers[*compiledHeader], line []byte, rs *ruleSetJSON, mode string, maxRounds int, ds *datasetHeader) (*compiledHeader, bool) {
+	rules, rk, m, ok := s.compileRequest(w, rs, mode)
+	if !ok {
+		return nil, false
+	}
+	h := &compiledHeader{rules: rules, rk: rk, mode: m, maxRounds: maxRounds, enc: newResultEncoder(rules.Schema()), ds: ds}
+	hdrs.Put(line, h)
+	return h, true
+}
+
+// batchStreamHeader returns a batch stream's compiled header: looked up if
+// the line was seen before, decoded and compiled otherwise, answering 400
+// itself on a bad one.
+func (s *Server) batchStreamHeader(w http.ResponseWriter, line []byte) (*compiledHeader, bool) {
+	if h, ok := s.batchHeaders.Get(line); ok {
+		return h, true
+	}
+	var hdr batchHeader
+	if err := json.Unmarshal(line, &hdr); err != nil {
+		s.writeError(w, http.StatusBadRequest, codeBadRequest, "bad header line: "+err.Error())
+		return nil, false
+	}
+	return s.compileHeader(w, &s.batchHeaders, line, &hdr.ruleSetJSON, hdr.Mode, hdr.MaxRounds, nil)
+}
+
+// lineWriter serializes a stream's result lines onto its response. Each
+// entity encodes its line into a pooled buffer of its own, outside the
+// lock, and a line is flushed only when no other is queued behind it.
+type lineWriter struct {
+	mu    sync.Mutex
+	burst httpstream.Burst
+	gw    *httpstream.GatedWriter
+	enc   *resultEncoder
+}
+
+// write encodes r and writes it as one line; more says the caller has
+// another line right behind it.
+func (lw *lineWriter) write(r *resultLine, more bool) {
+	bp := lineBufs.Get().(*[]byte)
+	b, ok := lw.enc.appendLine((*bp)[:0], r)
+	if ok {
+		b = append(b, '\n')
+	}
+	lw.burst.Queue()
+	lw.mu.Lock()
+	if ok {
+		lw.gw.Write(b)
+	}
+	if lw.burst.Done(ok, more) {
+		lw.gw.Flush()
+	}
+	lw.mu.Unlock()
+	*bp = b[:0]
+	lineBufs.Put(bp)
+}
+
+// endBurst flushes what the last write held back, if nothing is queued.
+func (lw *lineWriter) endBurst() {
+	lw.burst.Queue()
+	lw.mu.Lock()
+	if lw.burst.Done(false, false) {
+		lw.gw.Flush()
+	}
+	lw.mu.Unlock()
+}
+
 // handleBatch is POST /v1/resolve/batch: NDJSON streaming. The first line
 // compiles the shared rule set; every following line is one entity. Results
 // stream back one JSON line each, in completion order, carrying the input's
@@ -309,14 +394,8 @@ type batchHeader struct {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	gw := httpstream.NewGatedWriter(w)
 	defer gw.Open() // cover reads that stop short of body EOF
-	sc := bufio.NewScanner(gw.BodyEOF(r.Body))
-	// Scanner's effective cap is max(cap(buf), max): keep the initial buffer
-	// at or below the configured limit so small limits actually bind.
-	bufSize := 64 << 10
-	if int(s.cfg.MaxBodyBytes) < bufSize {
-		bufSize = int(s.cfg.MaxBodyBytes)
-	}
-	sc.Buffer(make([]byte, bufSize), int(s.cfg.MaxBodyBytes))
+	sc, release := wire.LineScanner(gw.BodyEOF(r.Body), int(s.cfg.MaxBodyBytes))
+	defer release()
 
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
@@ -327,26 +406,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, codeBadRequest, "empty batch: missing header line")
 		return
 	}
-	var hdr batchHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		s.writeError(w, http.StatusBadRequest, codeBadRequest, "bad header line: "+err.Error())
-		return
-	}
-	rules, rk, mode, ok := s.compileRequest(w, &hdr.ruleSetJSON, hdr.Mode)
+	hdr, ok := s.batchStreamHeader(w, sc.Bytes())
 	if !ok {
 		return
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	var wmu sync.Mutex // serializes result lines
-	enc := json.NewEncoder(gw)
-	emit := func(out *resultJSON) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		enc.Encode(out)
-		gw.Flush()
-	}
-
+	lw := &lineWriter{gw: gw, enc: hdr.enc}
+	strs := newInterner()
+	defer strs.release() // after wg.Wait: every entity has bound by then
 	sem := make(chan struct{}, s.cfg.Workers)
 	var wg sync.WaitGroup
 	index := 0
@@ -361,25 +429,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		e, err := decodeBatchEntity(bytes.Clone(line))
 		if err != nil {
 			s.met.entitiesFailed.Add(1)
-			emit(&resultJSON{Index: &i, Error: &errorJSON{Code: codeBadRequest, Message: "bad entity line: " + err.Error()}})
+			lw.write(&resultLine{index: i, err: &errorJSON{Code: codeBadRequest, Message: "bad entity line: " + err.Error()}}, false)
 			continue
 		}
 		sem <- struct{}{}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var out *resultJSON
-			spec, err := bindEntity(rules, e.Tuples, e.Sources, e.Orders)
+			out := resultLine{index: -1}
+			spec, err := bindCells(hdr.rules, e.Tuples, e.Sources, e.Orders, strs.value)
 			if err != nil {
 				<-sem
-				out = &resultJSON{Error: s.entityError(&codedErr{codeBadEntity, err})}
-			} else if res, cached, err := s.resolveEntity(r.Context(), rules, specKey(rk, spec, e.Orders, mode), spec, hdr.MaxRounds, mode, func() { <-sem }); err != nil {
-				out = &resultJSON{Error: s.entityError(err)}
+				out.err = s.entityError(&codedErr{codeBadEntity, err})
+			} else if res, cached, err := s.resolveEntity(r.Context(), hdr.rules, specKey(hdr.rk, spec, e.Orders, hdr.mode), spec, hdr.maxRounds, hdr.mode, func() { <-sem }); err != nil {
+				out.err = s.entityError(err)
 			} else {
-				out = encodeResult(rules.Schema(), res, cached)
+				out = outcomeLine(res, cached)
 			}
-			out.ID, out.Index = e.ID, &i
-			emit(out)
+			out.id, out.index = e.ID, i
+			lw.write(&out, false)
 		}()
 	}
 	scanErr := sc.Err()
@@ -387,8 +455,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if scanErr != nil {
 		// The status line is long gone; report the failure in-band.
 		code, _ := scanErrClass(scanErr)
-		i := index
-		emit(&resultJSON{Index: &i, Error: &errorJSON{Code: code, Message: "stream aborted: " + scanErr.Error()}})
+		lw.write(&resultLine{index: index, err: &errorJSON{Code: code, Message: "stream aborted: " + scanErr.Error()}}, false)
 	}
 }
 

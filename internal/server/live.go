@@ -46,15 +46,15 @@ type entityUpsertRequest struct {
 	Mode string `json:"mode,omitempty"`
 }
 
-// entityStateJSON is the live entity's resolution state over every row it
+// entityState is the live entity's resolution state over every row it
 // has seen, returned by upserts and gets.
-type entityStateJSON struct {
-	Key      string         `json:"key"`
-	Rows     int            `json:"rows"`
-	Valid    bool           `json:"valid"`
-	Complete bool           `json:"complete"`
-	Resolved map[string]any `json:"resolved,omitempty"`
-	Tuple    []any          `json:"tuple,omitempty"`
+type entityState struct {
+	Key      string          `json:"key"`
+	Rows     int             `json:"rows"`
+	Valid    bool            `json:"valid"`
+	Complete bool            `json:"complete"`
+	Resolved json.RawMessage `json:"resolved,omitempty"`
+	Tuple    json.RawMessage `json:"tuple,omitempty"`
 	// Extends / Rebuilds count this entity's incremental vs re-encoded
 	// upsert deltas (the initial build is neither).
 	Extends  int `json:"extends"`
@@ -68,8 +68,8 @@ type entityStateJSON struct {
 }
 
 // encodeEntityState converts a copied-out live state into its wire form.
-func encodeEntityState(key string, sch *conflictres.Schema, st conflictres.LiveState) *entityStateJSON {
-	out := &entityStateJSON{
+func encodeEntityState(key string, sch *conflictres.Schema, st conflictres.LiveState) *entityState {
+	out := &entityState{
 		Key:      key,
 		Rows:     st.Rows,
 		Valid:    st.Valid,
@@ -212,7 +212,7 @@ func (s *Server) handleEntityUpsert(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEntityGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if v, ok := s.results.get(liveEntityKey(key)); ok {
-		cached := *(v.(*entityStateJSON)) // shallow copy to stamp Cached
+		cached := *(v.(*entityState)) // shallow copy to stamp Cached
 		cached.Cached = true
 		cached.Extended = nil
 		cached.Created = false

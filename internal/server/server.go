@@ -11,6 +11,7 @@ import (
 
 	"conflictres/internal/expo"
 	"conflictres/internal/live"
+	"conflictres/internal/wire"
 )
 
 // Config tunes the resolution server.
@@ -123,7 +124,7 @@ func (c Config) withDefaults() Config {
 // Server is the crserve HTTP resolution service.
 type Server struct {
 	cfg     Config
-	results *lru // specKey -> *conflictres.Result; liveEntityKey -> *entityStateJSON
+	results *lru // specKey -> *conflictres.Result; liveEntityKey -> *entityState
 	rules   *lru // rulesKey -> *conflictres.RuleSet
 	// sessions and liveReg are two instances of the one keyed store:
 	// answers entities behind /v1/session, rows entities behind /v1/entity.
@@ -131,6 +132,9 @@ type Server struct {
 	liveReg  *live.Registry
 	met      *metrics
 	mux      *http.ServeMux
+	// batchHeaders and datasetHeaders hold the stream header lines seen
+	// lately, compiled, by their exact bytes.
+	batchHeaders, datasetHeaders wire.Headers[*compiledHeader]
 
 	// Janitor lifecycle, surfaced by /readyz: a server whose janitor has
 	// stopped (Close was called) must stop receiving load-balanced traffic

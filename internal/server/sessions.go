@@ -55,17 +55,17 @@ type suggestionJSON struct {
 	Derivable  []string         `json:"derivable,omitempty"`
 }
 
-// sessionStateJSON is the session's current state, returned by every
+// sessionState is the session's current state, returned by every
 // session endpoint: create, get, and answer.
-type sessionStateJSON struct {
+type sessionState struct {
 	Session  string `json:"session"`
 	EntityID string `json:"entityId,omitempty"`
 	Valid    bool   `json:"valid"`
 	// Complete reports whether every attribute has a determined true value;
 	// when false, Suggestion carries the next Fig. 7 request for input.
 	Complete     bool            `json:"complete"`
-	Resolved     map[string]any  `json:"resolved,omitempty"`
-	Tuple        []any           `json:"tuple,omitempty"`
+	Resolved     json.RawMessage `json:"resolved,omitempty"`
+	Tuple        json.RawMessage `json:"tuple,omitempty"`
 	Suggestion   *suggestionJSON `json:"suggestion,omitempty"`
 	Rounds       int             `json:"rounds"`
 	Interactions int             `json:"interactions"`
@@ -93,9 +93,9 @@ func encodeSuggestion(sch *conflictres.Schema, sug conflictres.Suggestion) *sugg
 }
 
 // encodeSessionState renders an answers entity's registry state on the wire.
-func encodeSessionState(id string, res live.Result) *sessionStateJSON {
+func encodeSessionState(id string, res live.Result) *sessionState {
 	st := res.State
-	out := &sessionStateJSON{
+	out := &sessionState{
 		Session:      id,
 		EntityID:     res.EntityID,
 		Valid:        st.Valid,

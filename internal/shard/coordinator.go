@@ -17,6 +17,7 @@ import (
 	"conflictres"
 	"conflictres/internal/backoff"
 	"conflictres/internal/expo"
+	"conflictres/internal/wire"
 )
 
 // Error codes the coordinator adds on top of the backend envelope.
@@ -159,6 +160,11 @@ type Coordinator struct {
 	mux      *http.ServeMux
 	retry    backoff.Policy
 	repl     *replTracker
+	// batchHeaders and datasetHeaders hold the stream header lines that
+	// passed checkHeader lately, by their exact bytes: the line's own copy,
+	// and a dataset header decoded.
+	batchHeaders   wire.Headers[[]byte]
+	datasetHeaders wire.Headers[*datasetStreamHeader]
 
 	// rndMu guards rnd: jitter draws come from request goroutines, the
 	// health loop and replication drains concurrently.

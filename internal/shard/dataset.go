@@ -1,7 +1,7 @@
 package shard
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,6 +11,7 @@ import (
 
 	"conflictres/internal/dataset"
 	"conflictres/internal/relation"
+	"conflictres/internal/wire"
 )
 
 // keySep joins multi-column dataset keys — the same non-printing separator
@@ -37,6 +38,13 @@ type dsStream struct {
 	dropped  int64
 }
 
+// datasetStreamHeader is a dataset header line that passed checkHeader,
+// decoded.
+type datasetStreamHeader struct {
+	line []byte
+	hdr  datasetHeader
+}
+
 // handleDataset is POST /v1/resolve/dataset on the coordinator: the same
 // NDJSON contract as a single crserve, partitioned across the fleet. Rows
 // are grouped by entity key and each entity is routed on the ring — its
@@ -49,12 +57,8 @@ type dsStream struct {
 // ring, under the same backoff and retry budget as batch failover.
 func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	sc := bufio.NewScanner(r.Body)
-	bufSize := 64 << 10
-	if int(c.cfg.MaxBodyBytes) < bufSize {
-		bufSize = int(c.cfg.MaxBodyBytes)
-	}
-	sc.Buffer(make([]byte, bufSize), int(c.cfg.MaxBodyBytes))
+	sc, release := wire.LineScanner(r.Body, int(c.cfg.MaxBodyBytes))
+	defer release()
 
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
@@ -64,21 +68,24 @@ func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, http.StatusBadRequest, codeBadRequest, "empty dataset: missing header line")
 		return
 	}
-	headerLine := append([]byte(nil), sc.Bytes()...)
-	var hdr datasetHeader
-	if err := json.Unmarshal(headerLine, &hdr); err != nil {
-		c.writeError(w, http.StatusBadRequest, codeBadRequest, "bad header line: "+err.Error())
-		return
+	h, ok := c.datasetHeaders.Get(sc.Bytes())
+	if !ok {
+		h = &datasetStreamHeader{line: bytes.Clone(sc.Bytes())}
+		if err := json.Unmarshal(h.line, &h.hdr); err != nil {
+			c.writeError(w, http.StatusBadRequest, codeBadRequest, "bad header line: "+err.Error())
+			return
+		}
+		if len(h.hdr.Key) == 0 {
+			c.writeError(w, http.StatusBadRequest, codeBadRequest, `header needs "key": [column, ...]`)
+			return
+		}
+		if code, err := checkHeader(&h.hdr.ruleSetJSON, h.hdr.Mode); err != nil {
+			c.writeError(w, http.StatusBadRequest, code, err.Error())
+			return
+		}
+		c.datasetHeaders.Put(h.line, h)
 	}
-	if len(hdr.Key) == 0 {
-		c.writeError(w, http.StatusBadRequest, codeBadRequest, `header needs "key": [column, ...]`)
-		return
-	}
-	if code, err := checkHeader(&hdr.ruleSetJSON, hdr.Mode); err != nil {
-		c.writeError(w, http.StatusBadRequest, code, err.Error())
-		return
-	}
-	keyFn, err := rowKeyFunc(&hdr)
+	keyFn, err := rowKeyFunc(&h.hdr)
 	if err != nil {
 		c.writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
@@ -126,7 +133,7 @@ func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 		// produce normal-looking results from part of its rows.
 		ds.emit(&errorLine{Error: &errorJSON{Code: codeBadRequest, Message: "stream aborted: " + rowErr.Error()}})
 	} else {
-		c.newFanout(r.Context(), "/v1/resolve/dataset", headerLine, ds).spread(jobs, wave{})
+		c.newFanout(r.Context(), "/v1/resolve/dataset", h.line, ds).spread(jobs, wave{})
 	}
 
 	wall := time.Since(start)
@@ -158,6 +165,7 @@ func (s *dsStream) relay(h *inflight, line []byte) {
 	var dl dsLine
 	if json.Unmarshal(line, &dl) != nil {
 		s.mergeNs(int64(time.Since(start)))
+		s.emitRaw(nil, h.more)
 		return
 	}
 	if dl.Summary != nil {
@@ -170,6 +178,7 @@ func (s *dsStream) relay(h *inflight, line []byte) {
 			s.mu.Unlock()
 		}
 		s.mergeNs(int64(time.Since(start)))
+		s.emitRaw(nil, h.more)
 		return
 	}
 	if h.byID == nil {
@@ -196,7 +205,7 @@ func (s *dsStream) relay(h *inflight, line []byte) {
 	}
 	s.mu.Unlock()
 	s.mergeNs(int64(time.Since(start)))
-	s.emitRaw(line)
+	s.emitRaw(line, h.more)
 }
 
 // giveUp counts the jobs' unanswered rows as dropped and tells the client,

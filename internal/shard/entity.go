@@ -49,13 +49,16 @@ func (c *Coordinator) handleEntityProxy(w http.ResponseWriter, r *http.Request) 
 		if k.body, ok = c.readBody(w, r); !ok {
 			return
 		}
+		gen := c.repl.forwardGen(key)
 		k.resend = func(rep reply, attempt int) error {
 			// The entity is held by the coordinator's own traffic: this
 			// upsert's earlier attempt (sent, then lost on the wire) or a
-			// replica forward of an earlier delta. Either settles shortly:
-			// wait, then resend to the backend that answered. A busy answer
-			// with neither cause is a client racing itself and is relayed.
-			if isEntityBusy(rep.status, rep.data) && (attempt > 0 || c.repl.forwarding(key)) {
+			// replica forward of an earlier delta, running or over by now
+			// or cut off with the backend still applying it. Each settles
+			// shortly: wait, then resend to the backend that answered. A
+			// busy answer with no such cause is a client racing itself and
+			// is relayed.
+			if isEntityBusy(rep.status, rep.data) && (attempt > 0 || c.repl.mayHold(key, rep.idx, gen)) {
 				return fmt.Errorf("entity %s busy on %s", key, rep.b.url)
 			}
 			return nil
@@ -113,6 +116,9 @@ func (c *Coordinator) finishEntity(w http.ResponseWriter, k keyed, rep reply) {
 				go c.drainRepl(key)
 			}
 		}
+	}
+	if !isEntityBusy(status, data) {
+		c.repl.settle(key, idx)
 	}
 	if lag := c.repl.lag(key, idx); lag > 0 {
 		w.Header().Set("X-Crshard-Replica-Lag", strconv.FormatInt(lag, 10))

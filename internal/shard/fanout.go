@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"conflictres/internal/httpstream"
+	"conflictres/internal/wire"
 )
 
 // job is one entity in flight through a batch or dataset fan-out. Its
@@ -39,8 +40,12 @@ func (j *job) settled() bool { return j.answered >= max(len(j.rows), 1) }
 // relayed verbatim (batch lines with their leading id and index restamped,
 // dataset lines untouched), and the coordinator's own lines — errors,
 // the merged dataset summary — are marshalled and written the same way.
+// A line is flushed only when no other is queued behind it: neither
+// another hop's line waiting for the lock nor the next line its own hop
+// has already received (httpstream.Burst).
 type emitter struct {
 	mu      sync.Mutex
+	burst   httpstream.Burst
 	out     io.Writer
 	w       http.Flusher
 	mergeNs func(int64)
@@ -48,13 +53,19 @@ type emitter struct {
 
 var newline = []byte{'\n'}
 
-// emitRaw writes one line (plus newline) under the merge lock and flushes.
-func (e *emitter) emitRaw(line []byte) {
+// emitRaw writes one line (plus newline) under the merge lock; more says
+// the caller holds another line to write right behind it. A nil line
+// writes nothing but still ends the caller's turn, flushing what its
+// earlier lines held back.
+func (e *emitter) emitRaw(line []byte, more bool) {
 	start := time.Now()
+	e.burst.Queue()
 	e.mu.Lock()
-	e.out.Write(line)
-	e.out.Write(newline)
-	if e.w != nil {
+	if line != nil {
+		e.out.Write(line)
+		e.out.Write(newline)
+	}
+	if e.burst.Done(line != nil, more) && e.w != nil {
 		e.w.Flush()
 	}
 	e.mu.Unlock()
@@ -65,7 +76,7 @@ func (e *emitter) emitRaw(line []byte) {
 // emitRaw.
 func (e *emitter) emit(v any) {
 	line, _ := json.Marshal(v)
-	e.emitRaw(line)
+	e.emitRaw(line, false)
 }
 
 // stream is what the batch and dataset fan-outs do differently; the hop,
@@ -83,6 +94,9 @@ type stream interface {
 // keeps while it relays the hop's result lines.
 type inflight struct {
 	jobs []job
+	// more says the hop has already received the line after the one being
+	// relayed, so that line's flush can wait for it.
+	more bool
 	out  []byte         // batch: the restamped line
 	byID map[string]int // dataset: job position by display key
 }
@@ -136,7 +150,10 @@ func (f *fanout) dispatch(wg *sync.WaitGroup, idx int, jobs []job, w wave) {
 // first lines already reached the client.
 func (f *fanout) send(idx int, jobs []job, w wave) {
 	h := &inflight{jobs: jobs}
-	env, err := f.c.post(f.client, f.c.backends[idx], f.path, f.header, jobs, func(line []byte) { f.s.relay(h, line) })
+	env, err := f.c.post(f.client, f.c.backends[idx], f.path, f.header, jobs, func(line []byte, more bool) {
+		h.more = more
+		f.s.relay(h, line)
+	})
 	<-f.sems[idx]
 	left := jobs[:0]
 	var partial []job
@@ -223,11 +240,12 @@ func (f *fanout) spread(jobs []job, w wave) {
 
 // post is the streams' one hop: it posts the header line plus the jobs'
 // lines to b as one NDJSON request under the per-hop Timeout and hands
-// each non-empty response line to each. A non-200 answer is a header-level
-// verdict, deterministic on every backend, and comes back as its error
-// envelope. A transport failure, before the answer or mid-stream, comes
-// back as err once blame has judged b on ctx.
-func (c *Coordinator) post(ctx context.Context, b *backend, path string, header []byte, jobs []job, each func(line []byte)) (env *errorJSON, err error) {
+// each response line to each, empty ones too, with whether the next line
+// has already arrived. A non-200 answer is a header-level verdict,
+// deterministic on every backend, and comes back as its error envelope. A
+// transport failure, before the answer or mid-stream, comes back as err
+// once blame has judged b on ctx.
+func (c *Coordinator) post(ctx context.Context, b *backend, path string, header []byte, jobs []job, each func(line []byte, more bool)) (env *errorJSON, err error) {
 	size := len(header) + 1
 	for i := range jobs {
 		size += len(jobs[i].body)
@@ -258,12 +276,18 @@ func (c *Coordinator) post(ctx context.Context, b *backend, path string, header 
 		}
 		return &errorJSON{Code: codeBadRequest, Message: fmt.Sprintf("backend answered %d", resp.StatusCode)}, nil
 	}
-	rs := bufio.NewScanner(resp.Body)
-	rs.Buffer(make([]byte, 64<<10), int(c.cfg.MaxBodyBytes))
-	for rs.Scan() {
-		if line := rs.Bytes(); len(line) > 0 {
-			each(line)
+	rs, release := wire.LineScanner(resp.Body, int(c.cfg.MaxBodyBytes))
+	defer release()
+	more := false
+	rs.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, line, err := bufio.ScanLines(data, atEOF)
+		if line != nil {
+			more = bytes.IndexByte(data[adv:], '\n') >= 0
 		}
+		return adv, line, err
+	})
+	for rs.Scan() {
+		each(rs.Bytes(), more)
 	}
 	if err := rs.Err(); err != nil {
 		c.blame(ctx, b)
@@ -317,12 +341,8 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// stream as backends answer.
 	gw := httpstream.NewGatedWriter(w)
 	defer gw.Open() // cover reads that stop short of body EOF
-	sc := bufio.NewScanner(gw.BodyEOF(r.Body))
-	bufSize := 64 << 10
-	if int(c.cfg.MaxBodyBytes) < bufSize {
-		bufSize = int(c.cfg.MaxBodyBytes)
-	}
-	sc.Buffer(make([]byte, bufSize), int(c.cfg.MaxBodyBytes))
+	sc, release := wire.LineScanner(gw.BodyEOF(r.Body), int(c.cfg.MaxBodyBytes))
+	defer release()
 
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
@@ -332,15 +352,19 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, http.StatusBadRequest, codeBadRequest, "empty batch: missing header line")
 		return
 	}
-	headerLine := append([]byte(nil), sc.Bytes()...)
-	var hdr batchHeader
-	if err := json.Unmarshal(headerLine, &hdr); err != nil {
-		c.writeError(w, http.StatusBadRequest, codeBadRequest, "bad header line: "+err.Error())
-		return
-	}
-	if code, err := checkHeader(&hdr.ruleSetJSON, hdr.Mode); err != nil {
-		c.writeError(w, http.StatusBadRequest, code, err.Error())
-		return
+	headerLine, ok := c.batchHeaders.Get(sc.Bytes())
+	if !ok {
+		var hdr batchHeader
+		if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
+			c.writeError(w, http.StatusBadRequest, codeBadRequest, "bad header line: "+err.Error())
+			return
+		}
+		if code, err := checkHeader(&hdr.ruleSetJSON, hdr.Mode); err != nil {
+			c.writeError(w, http.StatusBadRequest, code, err.Error())
+			return
+		}
+		headerLine = bytes.Clone(sc.Bytes())
+		c.batchHeaders.Put(headerLine, headerLine)
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -357,12 +381,16 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		i := index
 		index++
-		var ek entityKey
-		if err := json.Unmarshal(line, &ek); err != nil {
-			em.emit(&errorLine{Index: &i, Error: &errorJSON{Code: codeBadRequest, Message: "bad entity line: " + err.Error()}})
-			continue
+		id, ok := wire.ScanID(line)
+		if !ok {
+			var ek entityKey
+			if err := json.Unmarshal(line, &ek); err != nil {
+				em.emit(&errorLine{Index: &i, Error: &errorJSON{Code: codeBadRequest, Message: "bad entity line: " + err.Error()}})
+				continue
+			}
+			id = ek.ID
 		}
-		key := ek.ID
+		key := id
 		if key == "" {
 			// Anonymous entities spread by stream position; they still get
 			// stable retry siblings from the ring.
@@ -371,11 +399,11 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		b, bIdx := c.route(key, 0)
 		if b == nil {
 			c.met.noBackend.Add(1)
-			em.giveUp([]job{{id: ek.ID, index: i}}, codeNoBackend, "no live backend for entity")
+			em.giveUp([]job{{id: id, index: i}}, codeNoBackend, "no live backend for entity")
 			continue
 		}
 		body := append(make([]byte, 0, len(line)+1), line...)
-		pending[bIdx] = append(pending[bIdx], job{body: append(body, '\n'), index: i, id: ek.ID, key: key})
+		pending[bIdx] = append(pending[bIdx], job{body: append(body, '\n'), index: i, id: id, key: key})
 		if len(pending[bIdx]) >= c.cfg.ChunkEntities {
 			f.dispatch(&wg, bIdx, pending[bIdx], wave{})
 			pending[bIdx] = nil
@@ -406,12 +434,13 @@ func (s batchStream) relay(h *inflight, line []byte) {
 	at, rest, ok := leadingIndex(line)
 	if !ok || at >= len(h.jobs) {
 		s.mergeNs(int64(time.Since(start)))
+		s.emitRaw(nil, h.more)
 		return
 	}
 	h.jobs[at].answered++
 	h.out = restamp(h.out[:0], &h.jobs[at], rest)
 	s.mergeNs(int64(time.Since(start)))
-	s.emitRaw(h.out)
+	s.emitRaw(h.out, h.more)
 }
 
 func (s batchStream) giveUp(jobs []job, code, msg string) {
@@ -469,25 +498,10 @@ func restamp(b []byte, j *job, rest []byte) []byte {
 	b = append(b, '{')
 	if j.id != "" {
 		b = append(b, `"id":`...)
-		b = appendJSONString(b, j.id)
+		b = wire.AppendString(b, j.id)
 		b = append(b, ',')
 	}
 	b = append(b, `"index":`...)
 	b = strconv.AppendInt(b, int64(j.index), 10)
 	return append(b, rest...)
-}
-
-// appendJSONString appends s as encoding/json writes a string: quoted,
-// with HTML-sensitive and non-ASCII text escaped by json.Marshal itself;
-// plain printable ASCII is its own encoding and appends without it.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s)
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
 }

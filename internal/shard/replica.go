@@ -39,6 +39,14 @@ type replState struct {
 	have     map[int]int64 // backend index -> deltas applied there
 	queue    []replJob
 	draining bool // a drain goroutine owns the queue head
+	// gen counts forwards started and finished, so a client attempt can
+	// tell whether one overlapped it even if it is over by the time the
+	// answer is judged.
+	gen uint64
+	// unsettled marks, by backend index, replicas a forward may still be
+	// applying on: its answer was lost, so only a later answer from that
+	// backend that is not entity_busy shows the forward finished.
+	unsettled uint64
 }
 
 // replTracker maps entity keys to their replication state.
@@ -106,7 +114,7 @@ func (t *replTracker) pop(key string) (replJob, bool) {
 	if !ok || len(st.queue) == 0 {
 		if ok {
 			st.draining = false
-			if st.acked == 0 {
+			if st.acked == 0 && st.unsettled == 0 {
 				delete(t.m, key)
 			}
 		}
@@ -114,7 +122,32 @@ func (t *replTracker) pop(key string) (replJob, bool) {
 	}
 	job := st.queue[0]
 	st.queue = st.queue[1:]
+	st.gen++
 	return job, true
+}
+
+// onForwarded ends a forward popped for key: answered is false when no
+// answer arrived, so every backend but the one that served the delta may
+// still be applying it.
+func (t *replTracker) onForwarded(key string, servedIdx int, answered bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if st, ok := t.m[key]; ok {
+		st.gen++
+		if !answered {
+			st.unsettled |= ^uint64(0) &^ (1 << uint(servedIdx))
+		}
+	}
+}
+
+// settle records an answer from backend idx for key that was not
+// entity_busy: no earlier forward is still holding the entity there.
+func (t *replTracker) settle(key string, idx int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if st, ok := t.m[key]; ok {
+		st.unsettled &^= 1 << uint(idx)
+	}
 }
 
 // onReplicated records a successful forward: backend idx now also holds the
@@ -146,13 +179,26 @@ func (t *replTracker) lag(key string, idx int) int64 {
 	return 0
 }
 
-// forwarding reports whether key's replication drain is running: a forward
-// of an earlier delta may be holding the entity on a backend right now.
-func (t *replTracker) forwarding(key string) bool {
+// forwardGen returns key's forward generation, to pass to mayHold after
+// an attempt.
+func (t *replTracker) forwardGen(key string) uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if st, ok := t.m[key]; ok {
+		return st.gen
+	}
+	return 0
+}
+
+// mayHold reports whether a replica forward may have held key's entity on
+// backend idx at some moment since forwardGen returned since: the drain
+// is running, a forward started or finished since then, or a forward to
+// idx lost its answer and idx has not answered free since.
+func (t *replTracker) mayHold(key string, idx int, since uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	st, ok := t.m[key]
-	return ok && st.draining
+	return ok && (st.draining || st.gen != since || st.unsettled&(1<<uint(idx)) != 0)
 }
 
 // pending reports queued-but-unsent replication jobs across all keys (the
@@ -211,6 +257,10 @@ func (c *Coordinator) forwardReplJob(key string, job replJob) {
 	// to invalidate. Any other 4xx (e.g. 409 racing a client write) is
 	// final for this backend — the log replay cannot make progress by
 	// retrying it.
+	c.repl.onForwarded(key, job.servedIdx, err == nil)
+	if err == nil && !isEntityBusy(rep.status, rep.data) {
+		c.repl.settle(key, rep.idx)
+	}
 	if err == nil && (rep.status < 300 || (job.method == http.MethodDelete && rep.status == http.StatusNotFound)) {
 		c.met.replicaForwards.Add(1)
 		c.repl.onReplicated(key, rep.idx, job.method)

@@ -2,7 +2,9 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -406,5 +408,164 @@ func TestEntityChaosAtLeastOnce(t *testing.T) {
 		if !strings.Contains(rec.Body.String(), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, rec.Body.String())
 		}
+	}
+}
+
+// cutForward is a transport that cuts the answer of the first POST to host
+// — the key's replica forward — once the backend has started applying it:
+// the coordinator sees a transport error while the replica still holds the
+// entity.
+type cutForward struct {
+	mu      sync.Mutex
+	host    string
+	cut     bool
+	holding chan struct{} // closed by the backend once it holds the entity
+}
+
+func (t *cutForward) RoundTrip(req *http.Request) (*http.Response, error) {
+	t.mu.Lock()
+	cut := !t.cut && req.Method == http.MethodPost && req.URL.Host == t.host
+	t.cut = t.cut || cut
+	t.mu.Unlock()
+	if !cut {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	go func() {
+		resp, err := http.DefaultTransport.RoundTrip(req.Clone(context.WithoutCancel(req.Context())))
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	<-t.holding
+	return nil, errors.New("forward answer cut")
+}
+
+// TestEntityBusyAfterCutForwardResent: a replica forward whose answer was
+// cut may still hold the entity on the replica after the drain gave the
+// forward up. A first-attempt upsert that finds the entity busy there is
+// resent, not relayed as the client's own race, until the replica is seen
+// free.
+func TestEntityBusyAfterCutForwardResent(t *testing.T) {
+	const key = "cut-forward"
+	tr := &cutForward{holding: make(chan struct{})}
+	release := make(chan struct{})
+	var mu sync.Mutex
+	held, forwarded := false, false
+	replicaPosts := 0
+	stub := func() string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodGet {
+				w.Write([]byte(`{"status":"ok"}`))
+				return
+			}
+			io.Copy(io.Discard, r.Body)
+			tr.mu.Lock()
+			onReplica := r.Host == tr.host
+			tr.mu.Unlock()
+			mu.Lock()
+			hold := onReplica && !forwarded // the replica's first POST is the forward
+			busy := onReplica && held
+			if onReplica {
+				replicaPosts++
+			}
+			if hold {
+				forwarded, held = true, true
+			}
+			mu.Unlock()
+			w.Header().Set("Content-Type", "application/json")
+			switch {
+			case hold:
+				close(tr.holding)
+				<-release
+				mu.Lock()
+				held = false
+				mu.Unlock()
+			case busy:
+				w.WriteHeader(http.StatusConflict)
+				w.Write([]byte(`{"error":{"code":"entity_busy","message":"entity is busy"}}`))
+				return
+			}
+			w.Write([]byte(`{"valid":true,"rows":1}`))
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	urls := []string{stub(), stub()}
+	c, base := newShard(t, urls, func(cfg *Config) {
+		cfg.RetryBase = time.Millisecond
+		cfg.RetryCap = 5 * time.Millisecond
+		cfg.RetryBudget = 5 * time.Second
+		cfg.Client = &http.Client{Transport: tr}
+	})
+	var releaseOnce sync.Once
+	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
+	primary := c.ring.Owners(key, 1)[0]
+	replica := 1 - primary
+	tr.mu.Lock()
+	tr.host = strings.TrimPrefix(urls[replica], "http://")
+	tr.mu.Unlock()
+
+	if st, status := entityUpsert(t, base, key, []any{liveRow("Edith Cut", 1)}); status != http.StatusOK {
+		t.Fatalf("first upsert answered %d %v", status, st)
+	}
+	waitCond(t, "cut forward given up", func() bool {
+		c.repl.mu.Lock()
+		defer c.repl.mu.Unlock()
+		st, ok := c.repl.m[key]
+		return c.met.replicaForwardFailures.Load() == 1 && !(ok && st.draining)
+	})
+	// The primary goes down, so the next upsert's first attempt lands on
+	// the replica, which is still applying the cut forward.
+	c.backends[primary].up.Store(false)
+	c.backends[replica].up.Store(true)
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		releaseOnce.Do(func() { close(release) })
+	}()
+	if st, status := entityUpsert(t, base, key, []any{liveRow("Edith Cut", 2)}); status != http.StatusOK {
+		t.Fatalf("upsert behind a cut forward answered %d %v, want 200 after a resend", status, st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if replicaPosts < 3 {
+		t.Fatalf("replica saw %d POSTs, want the forward, a busy answer and the resend", replicaPosts)
+	}
+}
+
+// TestReplTrackerMayHold: a forward counts against a client attempt's busy
+// answer if it overlapped the attempt, even when it is over by the time the
+// answer is judged, and a forward whose answer was lost counts until the
+// replica answers free.
+func TestReplTrackerMayHold(t *testing.T) {
+	tr := newReplTracker()
+	const key = "k"
+	tr.onAck(key, 0, replJob{servedIdx: 0})
+	before := tr.forwardGen(key)
+	if _, ok := tr.pop(key); !ok {
+		t.Fatal("no forward queued")
+	}
+	tr.onForwarded(key, 0, true)
+	if _, ok := tr.pop(key); ok {
+		t.Fatal("a second forward queued")
+	}
+	if !tr.mayHold(key, 1, before) {
+		t.Fatal("a forward that started and finished during the attempt does not count")
+	}
+	if tr.mayHold(key, 1, tr.forwardGen(key)) {
+		t.Fatal("an answered forward still counts for an attempt after it")
+	}
+
+	tr.onAck(key, 0, replJob{servedIdx: 0})
+	tr.pop(key)
+	tr.onForwarded(key, 0, false)
+	tr.pop(key)
+	after := tr.forwardGen(key)
+	if !tr.mayHold(key, 1, after) || tr.mayHold(key, 0, after) {
+		t.Fatal("a cut forward must count on the replica only")
+	}
+	tr.settle(key, 1)
+	if tr.mayHold(key, 1, after) {
+		t.Fatal("a replica that answered free still counts as held")
 	}
 }
