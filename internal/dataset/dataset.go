@@ -114,15 +114,6 @@ type Writer interface {
 	Flush() error
 }
 
-// BurstWriter is a Writer that streams: Run calls EndBurst after every
-// Write with no further result queued behind it, so the writer can flush
-// once per burst of results instead of once per line, and the last line
-// of a burst still goes out at once.
-type BurstWriter interface {
-	Writer
-	EndBurst()
-}
-
 // Options tunes Run. The zero value is ready to use.
 type Options struct {
 	// Shards is the worker-pool width; 0 or negative means GOMAXPROCS.
@@ -311,7 +302,6 @@ func Run(ctx context.Context, sch *relation.Schema, r RowReader, res Resolver, w
 	var writeErr error
 	var writeFailed atomic.Bool
 	writerDone := make(chan struct{})
-	bw, _ := w.(BurstWriter)
 	go func() {
 		defer close(writerDone)
 		for out := range results {
@@ -343,9 +333,6 @@ func Run(ctx context.Context, sch *relation.Schema, r RowReader, res Resolver, w
 				stats.Resolved++
 			default:
 				stats.Invalid++
-			}
-			if bw != nil && len(results) == 0 {
-				bw.EndBurst()
 			}
 		}
 	}()

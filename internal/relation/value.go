@@ -196,8 +196,8 @@ func FromJSONScalar(raw []byte) (Value, error) {
 	}
 	switch raw[0] {
 	case '"':
-		if s, ok := PlainJSONString(raw); ok {
-			return String(string(s)), nil
+		if s, ok := plainJSONString(raw); ok {
+			return String(s), nil
 		}
 		var str string
 		if err := json.Unmarshal(raw, &str); err != nil {
@@ -218,22 +218,22 @@ func FromJSONScalar(raw []byte) (Value, error) {
 	}
 }
 
-// PlainJSONString returns the body of a quoted JSON string that needs no
+// plainJSONString decodes a quoted JSON string whose body needs no
 // decoding: printable ASCII without escapes or quotes, which is its own
 // value. Anything else reports false and takes json.Unmarshal's path, so
 // escapes, control bytes, non-ASCII and invalid UTF-8 decode (or fail)
-// exactly as the reference does. The body aliases raw.
-func PlainJSONString(raw []byte) ([]byte, bool) {
-	if len(raw) < 2 || raw[0] != '"' || raw[len(raw)-1] != '"' {
-		return nil, false
+// exactly as the reference does.
+func plainJSONString(raw []byte) (string, bool) {
+	if len(raw) < 2 || raw[len(raw)-1] != '"' {
+		return "", false
 	}
 	body := raw[1 : len(raw)-1]
 	for _, c := range body {
 		if c < 0x20 || c >= 0x80 || c == '"' || c == '\\' {
-			return nil, false
+			return "", false
 		}
 	}
-	return body, true
+	return string(body), true
 }
 
 // AsJSON returns the value in its JSON-encodable form — nil, string,

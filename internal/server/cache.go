@@ -108,10 +108,20 @@ func rulesKey(rs *ruleSetJSON) cacheKey {
 	})
 }
 
+// headerKey keys a stream header line, by its exact bytes, in the rule
+// cache; kind ("#batch-header" or "#dataset-header") keeps the two stream
+// kinds apart, and the framing keeps both apart from rulesKey hashes.
+func headerKey(kind string, line []byte) cacheKey {
+	return framedKey(func(b []byte) []byte {
+		b = binary.LittleEndian.AppendUint64(appendField(b, kind), uint64(len(line)))
+		return append(b, line...)
+	})
+}
+
 // lru is a fixed-capacity, mutex-guarded LRU map from cache keys to opaque
-// immutable values: compiled rule sets, the engine's *conflictres.Result
-// per resolution problem, and live entities' wire state snapshots. A zero or
-// negative capacity disables caching entirely.
+// immutable values: compiled rule sets and stream headers, the engine's
+// *conflictres.Result per resolution problem, and live entities' wire
+// state snapshots. A zero or negative capacity disables caching entirely.
 type lru struct {
 	mu  sync.Mutex
 	max int

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -273,5 +274,41 @@ func TestCacheSharedAcrossEndpoints(t *testing.T) {
 				t.Errorf("%s after %s: not answered from the cache", second.name, first.name)
 			}
 		}
+	}
+}
+
+// TestStreamHeadersInRuleCache: a compiled stream header is kept in the
+// rule cache, so Config.RuleCacheSize bounds it and a negative size turns
+// it off along with the rule sets; streams answer the same either way, and
+// a header that fails to compile is never kept.
+func TestStreamHeadersInRuleCache(t *testing.T) {
+	run := func(cfg Config) (batch string, ds map[string]*datasetLine, entries int) {
+		t.Helper()
+		s, ts := newTestServer(t, cfg)
+		// The second stream finds its header line compiled.
+		batch = postBatchStream(t, ts.URL) + postBatchStream(t, ts.URL)
+		ds, _ = postDataset(t, ts.URL, datasetHeaderLine(t, nil, true)+"\n"+edithRows(1))
+		resp, data := postJSON(t, ts.URL+"/v1/resolve/batch", []byte(`{"schema":["a"],"currency":["not a rule"]}`+"\n"))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad header: status %d: %s", resp.StatusCode, data)
+		}
+		_, _, entries = s.rules.stats()
+		return batch, ds, entries
+	}
+	batch, ds, entries := run(Config{})
+	// The golden batch header and the dataset header carry different rule
+	// sets: each rule set and each compiled header.
+	if entries != 4 {
+		t.Errorf("rule cache holds %d entries, want 4", entries)
+	}
+	offBatch, offDS, offEntries := run(Config{RuleCacheSize: -1})
+	if offEntries != 0 {
+		t.Errorf("disabled rule cache holds %d entries", offEntries)
+	}
+	if offBatch != batch {
+		t.Errorf("batch stream with the rule cache off:\n%s\nwant\n%s", offBatch, batch)
+	}
+	if got, want := offDS["e1"], ds["e1"]; got == nil || want == nil || !got.Valid || !reflect.DeepEqual(got.Resolved, want.Resolved) {
+		t.Errorf("dataset line with the rule cache off: %+v, want %+v", got, want)
 	}
 }

@@ -41,14 +41,13 @@
 //
 // The NDJSON streams carry no reflection per entity. Batch lines are read
 // by wire.ScanEntity (crshard routes them with the same scanner's ScanID),
-// with cells aliasing the line and repeated cell strings interned per
-// request; a line the scanner does not take is decoded by json.Unmarshal,
-// so the entity and the error text are the same either way. Results, dataset lines and session and
-// live-entity states render through one append encoder, resultEncoder,
-// whose bytes equal encoding/json's. A stream header line seen before is
-// looked up by its exact bytes (wire.Headers); only a new line is decoded
-// and compiled. Each line is flushed only when no other line is queued
-// behind it (httpstream.Burst).
+// with cells aliasing the line; a line the scanner does not take is
+// decoded by json.Unmarshal, so the entity and the error text are the same
+// either way. Results, dataset lines and session and live-entity states
+// render through one append encoder, resultEncoder, whose bytes equal
+// encoding/json's. A stream header line is kept compiled in the rule
+// cache under the hash of its exact bytes, so a line seen before is
+// neither decoded nor compiled again.
 //
 // Sessions and live entities are held in two instances of the keyed
 // live.Registry, with LRU eviction under Config.SessionCap / LiveCap and
@@ -133,61 +132,12 @@ func decodeBatchEntity(line []byte) (*wire.Entity, error) {
 	return nil, err
 }
 
-// internCap bounds the distinct cell strings one request interns, so a
-// stream of unique strings cannot grow the table without bound.
-const internCap = 4096
-
-// interner decodes a request's cells as relation.FromJSONScalar does, but
-// every plain string cell with the same text shares one string: entities
-// of one stream repeat most of their cell texts. Entities bind
-// concurrently, so the table is locked.
-type interner struct {
-	mu sync.Mutex
-	m  map[string]string
-}
-
-// interners recycles the tables across requests: a table sized for a
-// typical batch's distinct cell strings rarely grows while it fills.
-var interners = sync.Pool{New: func() any { return &interner{m: make(map[string]string, 512)} }}
-
-// newInterner checks out an empty table; release returns it once no entity
-// of the request binds any more.
-func newInterner() *interner { return interners.Get().(*interner) }
-
-func (in *interner) release() {
-	clear(in.m)
-	interners.Put(in)
-}
-
-func (in *interner) value(raw []byte) (conflictres.Value, error) {
-	body, ok := relation.PlainJSONString(raw)
-	if !ok {
-		return relation.FromJSONScalar(raw)
-	}
-	in.mu.Lock()
-	s, hit := in.m[string(body)]
-	if !hit {
-		s = string(body)
-		if len(in.m) < internCap {
-			in.m[s] = s
-		}
-	}
-	in.mu.Unlock()
-	return conflictres.String(s), nil
-}
-
 // bindEntity turns a wire entity's tuples, source tags and explicit
 // currency orders into a specification bound to the compiled rule set.
 // Cells decode through relation.FromJSONScalar, the shared scalar codec of
 // every wire surface (integral numbers become ints; booleans and nested
 // structures are rejected).
 func bindEntity[C ~[]byte](rules *conflictres.RuleSet, tuples [][]C, sources []string, orders []orderJSON) (*conflictres.Spec, error) {
-	return bindCells(rules, tuples, sources, orders, relation.FromJSONScalar)
-}
-
-// bindCells is bindEntity with the cell decoder given: a batch stream
-// passes its interner's.
-func bindCells[C ~[]byte](rules *conflictres.RuleSet, tuples [][]C, sources []string, orders []orderJSON, cell func([]byte) (conflictres.Value, error)) (*conflictres.Spec, error) {
 	if len(tuples) == 0 {
 		return nil, fmt.Errorf("entity has no tuples")
 	}
@@ -203,7 +153,7 @@ func bindCells[C ~[]byte](rules *conflictres.RuleSet, tuples [][]C, sources []st
 			return nil, fmt.Errorf("tuple %d has %d values, schema has %d", ti, len(row), sch.Len())
 		}
 		for ai, raw := range row {
-			v, err := cell(raw)
+			v, err := relation.FromJSONScalar(raw)
 			if err != nil {
 				return nil, fmt.Errorf("tuple %d, attribute %s: %w", ti, sch.Name(conflictres.Attr(ai)), err)
 			}

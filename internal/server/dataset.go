@@ -73,7 +73,8 @@ func readLineBounded(br *bufio.Reader, max int64) ([]byte, error) {
 // up if the line was seen before, decoded, checked and compiled otherwise,
 // answering 400 itself on a bad one.
 func (s *Server) datasetStreamHeader(w http.ResponseWriter, line []byte) (*compiledHeader, bool) {
-	if h, ok := s.datasetHeaders.Get(line); ok {
+	key := headerKey("#dataset-header", line)
+	if h, ok := s.cachedHeader(key); ok {
 		return h, true
 	}
 	hdr := new(datasetHeader)
@@ -85,7 +86,7 @@ func (s *Server) datasetStreamHeader(w http.ResponseWriter, line []byte) (*compi
 		s.writeError(w, http.StatusBadRequest, codeBadRequest, `header needs "key": [column, ...]`)
 		return nil, false
 	}
-	return s.compileHeader(w, &s.datasetHeaders, line, &hdr.ruleSetJSON, hdr.Mode, hdr.MaxRounds, hdr)
+	return s.compileHeader(w, key, &hdr.ruleSetJSON, hdr.Mode, hdr.MaxRounds, hdr)
 }
 
 // datasetResolver binds each grouped entity to the rule set and resolves
@@ -111,8 +112,7 @@ func (s *Server) datasetResolver(ctx context.Context, rules *conflictres.RuleSet
 }
 
 // wireWriter adapts the HTTP response to the dataset engine's Writer: one
-// result line per entity, flushed when the engine has no further result
-// queued behind it (see dataset.BurstWriter).
+// result line per entity, flushed as it completes.
 type wireWriter struct {
 	s  *Server
 	lw *lineWriter
@@ -126,13 +126,9 @@ func (w *wireWriter) Write(res *dataset.Result) error {
 		out.valid = true
 		out.resolved, out.tuple = res.Resolved, res.Tuple
 	}
-	w.lw.write(&out, true)
+	w.lw.write(&out)
 	return nil
 }
-
-// EndBurst flushes the lines written since the engine last found its
-// result queue empty.
-func (w *wireWriter) EndBurst() { w.lw.endBurst() }
 
 func (w *wireWriter) Flush() error { return nil }
 
@@ -225,7 +221,7 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	if runErr != nil {
 		// The status line is long gone; report the failure in-band.
 		code, _ := scanErrClass(runErr)
-		lw.write(&resultLine{index: -1, err: &errorJSON{Code: code, Message: "stream aborted: " + runErr.Error()}}, true)
+		lw.write(&resultLine{index: -1, err: &errorJSON{Code: code, Message: "stream aborted: " + runErr.Error()}})
 	}
 	enc.Encode(map[string]*datasetSummaryJSON{"summary": {
 		Rows:          stats.RowsRead,

@@ -315,16 +315,27 @@ type compiledHeader struct {
 	ds *datasetHeader
 }
 
+// cachedHeader returns the compiled header kept in the rule cache under
+// key, if any.
+func (s *Server) cachedHeader(key cacheKey) (*compiledHeader, bool) {
+	v, ok := s.rules.get(key)
+	if !ok {
+		return nil, false
+	}
+	return v.(*compiledHeader), true
+}
+
 // compileHeader compiles a decoded stream header (see compileRequest,
-// which answers 400 itself on failure) and keeps the result under its
-// exact line in hdrs.
-func (s *Server) compileHeader(w http.ResponseWriter, hdrs *wire.Headers[*compiledHeader], line []byte, rs *ruleSetJSON, mode string, maxRounds int, ds *datasetHeader) (*compiledHeader, bool) {
+// which answers 400 itself on failure) and keeps the result in the rule
+// cache under key, its line's headerKey. Only a header that compiled is
+// kept, so a bad one always takes the full path and answers the same 400.
+func (s *Server) compileHeader(w http.ResponseWriter, key cacheKey, rs *ruleSetJSON, mode string, maxRounds int, ds *datasetHeader) (*compiledHeader, bool) {
 	rules, rk, m, ok := s.compileRequest(w, rs, mode)
 	if !ok {
 		return nil, false
 	}
 	h := &compiledHeader{rules: rules, rk: rk, mode: m, maxRounds: maxRounds, enc: newResultEncoder(rules.Schema()), ds: ds}
-	hdrs.Put(line, h)
+	s.rules.put(key, h)
 	return h, true
 }
 
@@ -332,7 +343,8 @@ func (s *Server) compileHeader(w http.ResponseWriter, hdrs *wire.Headers[*compil
 // the line was seen before, decoded and compiled otherwise, answering 400
 // itself on a bad one.
 func (s *Server) batchStreamHeader(w http.ResponseWriter, line []byte) (*compiledHeader, bool) {
-	if h, ok := s.batchHeaders.Get(line); ok {
+	key := headerKey("#batch-header", line)
+	if h, ok := s.cachedHeader(key); ok {
 		return h, true
 	}
 	var hdr batchHeader
@@ -340,48 +352,32 @@ func (s *Server) batchStreamHeader(w http.ResponseWriter, line []byte) (*compile
 		s.writeError(w, http.StatusBadRequest, codeBadRequest, "bad header line: "+err.Error())
 		return nil, false
 	}
-	return s.compileHeader(w, &s.batchHeaders, line, &hdr.ruleSetJSON, hdr.Mode, hdr.MaxRounds, nil)
+	return s.compileHeader(w, key, &hdr.ruleSetJSON, hdr.Mode, hdr.MaxRounds, nil)
 }
 
 // lineWriter serializes a stream's result lines onto its response. Each
 // entity encodes its line into a pooled buffer of its own, outside the
-// lock, and a line is flushed only when no other is queued behind it.
+// lock, and each line is flushed as it is written.
 type lineWriter struct {
-	mu    sync.Mutex
-	burst httpstream.Burst
-	gw    *httpstream.GatedWriter
-	enc   *resultEncoder
+	mu  sync.Mutex
+	gw  *httpstream.GatedWriter
+	enc *resultEncoder
 }
 
-// write encodes r and writes it as one line; more says the caller has
-// another line right behind it.
-func (lw *lineWriter) write(r *resultLine, more bool) {
+// write encodes r and writes it as one line. A line encoding/json would
+// refuse (a NaN or infinite float) is left out.
+func (lw *lineWriter) write(r *resultLine) {
 	bp := lineBufs.Get().(*[]byte)
 	b, ok := lw.enc.appendLine((*bp)[:0], r)
-	if ok {
-		b = append(b, '\n')
-	}
-	lw.burst.Queue()
 	lw.mu.Lock()
 	if ok {
+		b = append(b, '\n')
 		lw.gw.Write(b)
 	}
-	if lw.burst.Done(ok, more) {
-		lw.gw.Flush()
-	}
+	lw.gw.Flush()
 	lw.mu.Unlock()
 	*bp = b[:0]
 	lineBufs.Put(bp)
-}
-
-// endBurst flushes what the last write held back, if nothing is queued.
-func (lw *lineWriter) endBurst() {
-	lw.burst.Queue()
-	lw.mu.Lock()
-	if lw.burst.Done(false, false) {
-		lw.gw.Flush()
-	}
-	lw.mu.Unlock()
 }
 
 // handleBatch is POST /v1/resolve/batch: NDJSON streaming. The first line
@@ -413,8 +409,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	lw := &lineWriter{gw: gw, enc: hdr.enc}
-	strs := newInterner()
-	defer strs.release() // after wg.Wait: every entity has bound by then
 	sem := make(chan struct{}, s.cfg.Workers)
 	var wg sync.WaitGroup
 	index := 0
@@ -429,7 +423,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		e, err := decodeBatchEntity(bytes.Clone(line))
 		if err != nil {
 			s.met.entitiesFailed.Add(1)
-			lw.write(&resultLine{index: i, err: &errorJSON{Code: codeBadRequest, Message: "bad entity line: " + err.Error()}}, false)
+			lw.write(&resultLine{index: i, err: &errorJSON{Code: codeBadRequest, Message: "bad entity line: " + err.Error()}})
 			continue
 		}
 		sem <- struct{}{}
@@ -437,7 +431,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer wg.Done()
 			out := resultLine{index: -1}
-			spec, err := bindCells(hdr.rules, e.Tuples, e.Sources, e.Orders, strs.value)
+			spec, err := bindEntity(hdr.rules, e.Tuples, e.Sources, e.Orders)
 			if err != nil {
 				<-sem
 				out.err = s.entityError(&codedErr{codeBadEntity, err})
@@ -447,7 +441,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				out = outcomeLine(res, cached)
 			}
 			out.id, out.index = e.ID, i
-			lw.write(&out, false)
+			lw.write(&out)
 		}()
 	}
 	scanErr := sc.Err()
@@ -455,7 +449,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if scanErr != nil {
 		// The status line is long gone; report the failure in-band.
 		code, _ := scanErrClass(scanErr)
-		lw.write(&resultLine{index: index, err: &errorJSON{Code: code, Message: "stream aborted: " + scanErr.Error()}}, false)
+		lw.write(&resultLine{index: index, err: &errorJSON{Code: code, Message: "stream aborted: " + scanErr.Error()}})
 	}
 }
 

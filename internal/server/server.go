@@ -11,7 +11,6 @@ import (
 
 	"conflictres/internal/expo"
 	"conflictres/internal/live"
-	"conflictres/internal/wire"
 )
 
 // Config tunes the resolution server.
@@ -24,7 +23,8 @@ type Config struct {
 	// CacheSize is the result-cache capacity in entries (default 4096;
 	// negative disables caching).
 	CacheSize int
-	// RuleCacheSize is the compiled-rule-set cache capacity (default 128).
+	// RuleCacheSize is the compiled-rule-set cache capacity (default 128;
+	// negative disables it). Stream header lines, compiled, share it.
 	RuleCacheSize int
 	// Timeout bounds the solver time of one entity (default 30s; negative
 	// disables the deadline).
@@ -125,16 +125,13 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	results *lru // specKey -> *conflictres.Result; liveEntityKey -> *entityState
-	rules   *lru // rulesKey -> *conflictres.RuleSet
+	rules   *lru // rulesKey -> *conflictres.RuleSet; headerKey -> *compiledHeader
 	// sessions and liveReg are two instances of the one keyed store:
 	// answers entities behind /v1/session, rows entities behind /v1/entity.
 	sessions *live.Registry
 	liveReg  *live.Registry
 	met      *metrics
 	mux      *http.ServeMux
-	// batchHeaders and datasetHeaders hold the stream header lines seen
-	// lately, compiled, by their exact bytes.
-	batchHeaders, datasetHeaders wire.Headers[*compiledHeader]
 
 	// Janitor lifecycle, surfaced by /readyz: a server whose janitor has
 	// stopped (Close was called) must stop receiving load-balanced traffic

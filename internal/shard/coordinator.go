@@ -17,7 +17,6 @@ import (
 	"conflictres"
 	"conflictres/internal/backoff"
 	"conflictres/internal/expo"
-	"conflictres/internal/wire"
 )
 
 // Error codes the coordinator adds on top of the backend envelope.
@@ -163,8 +162,8 @@ type Coordinator struct {
 	// batchHeaders and datasetHeaders hold the stream header lines that
 	// passed checkHeader lately, by their exact bytes: the line's own copy,
 	// and a dataset header decoded.
-	batchHeaders   wire.Headers[[]byte]
-	datasetHeaders wire.Headers[*datasetStreamHeader]
+	batchHeaders   headerSet[[]byte]
+	datasetHeaders headerSet[*datasetStreamHeader]
 
 	// rndMu guards rnd: jitter draws come from request goroutines, the
 	// health loop and replication drains concurrently.
@@ -453,6 +452,9 @@ type keyed struct {
 	// after a backoff and is the cause reported if the budget runs out
 	// first; nil accepts the answer.
 	resend func(rep reply, attempt int) error
+	// sent, when set, gathers the backends, by index, the request was
+	// sent to.
+	sent *uint64
 }
 
 // reply is the answer a keyed request got, and the backend that gave it.
@@ -497,6 +499,9 @@ func (c *Coordinator) send(ctx context.Context, k keyed) (reply, error) {
 		}
 		if attempt > 0 {
 			rep.b.retries.Add(1)
+		}
+		if k.sent != nil {
+			*k.sent |= 1 << uint(rep.idx)
 		}
 		var retryable bool
 		var err error

@@ -68,7 +68,7 @@ func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, http.StatusBadRequest, codeBadRequest, "empty dataset: missing header line")
 		return
 	}
-	h, ok := c.datasetHeaders.Get(sc.Bytes())
+	h, ok := c.datasetHeaders.get(sc.Bytes())
 	if !ok {
 		h = &datasetStreamHeader{line: bytes.Clone(sc.Bytes())}
 		if err := json.Unmarshal(h.line, &h.hdr); err != nil {
@@ -83,7 +83,7 @@ func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 			c.writeError(w, http.StatusBadRequest, code, err.Error())
 			return
 		}
-		c.datasetHeaders.Put(h.line, h)
+		c.datasetHeaders.put(h.line, h)
 	}
 	keyFn, err := rowKeyFunc(&h.hdr)
 	if err != nil {

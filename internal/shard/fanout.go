@@ -352,7 +352,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, http.StatusBadRequest, codeBadRequest, "empty batch: missing header line")
 		return
 	}
-	headerLine, ok := c.batchHeaders.Get(sc.Bytes())
+	headerLine, ok := c.batchHeaders.get(sc.Bytes())
 	if !ok {
 		var hdr batchHeader
 		if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
@@ -364,7 +364,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		headerLine = bytes.Clone(sc.Bytes())
-		c.batchHeaders.Put(headerLine, headerLine)
+		c.batchHeaders.put(headerLine, headerLine)
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")

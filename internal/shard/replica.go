@@ -126,27 +126,30 @@ func (t *replTracker) pop(key string) (replJob, bool) {
 	return job, true
 }
 
-// onForwarded ends a forward popped for key: answered is false when no
-// answer arrived, so every backend but the one that served the delta may
-// still be applying it.
-func (t *replTracker) onForwarded(key string, servedIdx int, answered bool) {
+// onForwarded ends a forward popped for key. lost marks, by index, the
+// backends it was sent to without an answer coming back: each may still be
+// applying the delta.
+func (t *replTracker) onForwarded(key string, lost uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if st, ok := t.m[key]; ok {
 		st.gen++
-		if !answered {
-			st.unsettled |= ^uint64(0) &^ (1 << uint(servedIdx))
-		}
+		st.unsettled |= lost
 	}
 }
 
 // settle records an answer from backend idx for key that was not
-// entity_busy: no earlier forward is still holding the entity there.
+// entity_busy: no earlier forward is still holding the entity there. An
+// idle entry with nothing acknowledged and nothing unsettled is dropped,
+// as pop drops it.
 func (t *replTracker) settle(key string, idx int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if st, ok := t.m[key]; ok {
 		st.unsettled &^= 1 << uint(idx)
+		if !st.draining && st.acked == 0 && st.unsettled == 0 {
+			delete(t.m, key)
+		}
 	}
 }
 
@@ -241,9 +244,11 @@ func (c *Coordinator) drainRepl(key string) {
 func (c *Coordinator) forwardReplJob(key string, job replJob) {
 	ctx, cancel := c.retryBudgetCtx(context.Background())
 	defer cancel()
+	var sent uint64
 	rep, err := c.send(ctx, keyed{
 		key: key, method: job.method, path: job.path, body: job.body,
 		tried: 1 << uint(job.servedIdx),
+		sent:  &sent,
 		// A 5xx may be transient ErrBusy contention: resend to the same
 		// backend.
 		resend: func(rep reply, _ int) error {
@@ -257,7 +262,11 @@ func (c *Coordinator) forwardReplJob(key string, job replJob) {
 	// to invalidate. Any other 4xx (e.g. 409 racing a client write) is
 	// final for this backend — the log replay cannot make progress by
 	// retrying it.
-	c.repl.onForwarded(key, job.servedIdx, err == nil)
+	lost := sent
+	if err == nil {
+		lost &^= 1 << uint(rep.idx)
+	}
+	c.repl.onForwarded(key, lost)
 	if err == nil && !isEntityBusy(rep.status, rep.data) {
 		c.repl.settle(key, rep.idx)
 	}

@@ -545,7 +545,7 @@ func TestReplTrackerMayHold(t *testing.T) {
 	if _, ok := tr.pop(key); !ok {
 		t.Fatal("no forward queued")
 	}
-	tr.onForwarded(key, 0, true)
+	tr.onForwarded(key, 0)
 	if _, ok := tr.pop(key); ok {
 		t.Fatal("a second forward queued")
 	}
@@ -556,16 +556,52 @@ func TestReplTrackerMayHold(t *testing.T) {
 		t.Fatal("an answered forward still counts for an attempt after it")
 	}
 
+	// In a fleet of three, a forward sent to backend 1 loses its answer.
 	tr.onAck(key, 0, replJob{servedIdx: 0})
 	tr.pop(key)
-	tr.onForwarded(key, 0, false)
+	tr.onForwarded(key, 1<<1)
 	tr.pop(key)
 	after := tr.forwardGen(key)
-	if !tr.mayHold(key, 1, after) || tr.mayHold(key, 0, after) {
-		t.Fatal("a cut forward must count on the replica only")
+	if !tr.mayHold(key, 1, after) || tr.mayHold(key, 0, after) || tr.mayHold(key, 2, after) {
+		t.Fatal("a cut forward must count on the backend it was sent to only")
 	}
 	tr.settle(key, 1)
 	if tr.mayHold(key, 1, after) {
 		t.Fatal("a replica that answered free still counts as held")
+	}
+}
+
+// TestReplTrackerDropsSettledEntry: a key whose forward lost its answer
+// stays tracked through a delete until the replica it was sent to answers
+// free, and is dropped then, so cut forwards do not leak entries.
+func TestReplTrackerDropsSettledEntry(t *testing.T) {
+	tr := newReplTracker()
+	const key = "k"
+	tracked := func() bool {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		_, ok := tr.m[key]
+		return ok
+	}
+	tr.onAck(key, 0, replJob{servedIdx: 0})
+	tr.pop(key)
+	tr.onForwarded(key, 1<<1) // the upsert's forward to backend 1 is cut
+	tr.pop(key)
+
+	// The client deletes through backend 0; the invalidation forward to
+	// backend 1 is cut too.
+	tr.onDelete(key, replJob{method: http.MethodDelete, servedIdx: 0})
+	tr.pop(key)
+	tr.onForwarded(key, 1<<1)
+	if _, ok := tr.pop(key); ok || !tracked() {
+		t.Fatal("an entry with an unsettled replica was dropped")
+	}
+	tr.settle(key, 2) // a backend no forward reached settles nothing
+	if !tracked() {
+		t.Fatal("an answer from a backend no forward reached dropped the entry")
+	}
+	tr.settle(key, 1)
+	if tracked() {
+		t.Fatal("the entry outlived its replica's settling answer")
 	}
 }

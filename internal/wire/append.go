@@ -106,46 +106,3 @@ func LineScanner(r io.Reader, max int) (sc *bufio.Scanner, release func()) {
 	sc.Buffer((*bp)[:n:n], max)
 	return sc, func() { lineBufs.Put(bp) }
 }
-
-// headerSlots is how many distinct header lines a Headers set holds.
-const headerSlots = 8
-
-// maxHeaderBytes bounds the header lines a Headers set keeps, so the set
-// holds at most headerSlots × maxHeaderBytes whatever the line cap.
-const maxHeaderBytes = 256 << 10
-
-// Headers maps stream header lines, by their exact bytes, to what checking
-// them produced. A stream whose header was seen before skips decoding and
-// compiling it. Only headers that passed their checks are put, so a bad
-// header always takes the full path and answers the same error. The set is
-// small and fixed: a new line replaces the oldest one.
-type Headers[V any] struct {
-	mu   sync.Mutex
-	keys [headerSlots]string
-	vals [headerSlots]V
-	next int
-}
-
-// Get returns what line was put with.
-func (h *Headers[V]) Get(line []byte) (V, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := range h.keys {
-		if h.keys[i] == string(line) && len(line) > 0 {
-			return h.vals[i], true
-		}
-	}
-	var zero V
-	return zero, false
-}
-
-// Put records v for line, unless line is too long to keep.
-func (h *Headers[V]) Put(line []byte, v V) {
-	if len(line) == 0 || len(line) > maxHeaderBytes {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.keys[h.next], h.vals[h.next] = string(line), v
-	h.next = (h.next + 1) % headerSlots
-}

@@ -1,7 +1,7 @@
 // Package wire is the NDJSON stream codec crserve and crshard share: the
 // batch entity line and its hand-written scanner, the JSON string and
-// float appenders of both binaries' result encoders, the pool of stream
-// line buffers and the set of stream header lines already checked.
+// float appenders of both binaries' result encoders, and the pool of
+// stream line buffers.
 //
 // The scanner is a fast path, not a second decoder: it takes only lines it
 // can read exactly as encoding/json would, and reports false for any other

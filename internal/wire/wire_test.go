@@ -3,41 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
-	"sync"
 	"testing"
 )
-
-// TestHeadersKeepsRecentCheckedLines: a put line is found by its exact
-// bytes, the oldest of more than headerSlots lines is replaced, and empty or
-// overlong lines are never kept.
-func TestHeadersKeepsRecentCheckedLines(t *testing.T) {
-	var h Headers[int]
-	for i := 0; i <= headerSlots; i++ {
-		h.Put([]byte(fmt.Sprintf(`{"schema":["a%d"]}`, i)), i)
-	}
-	if _, ok := h.Get([]byte(`{"schema":["a0"]}`)); ok {
-		t.Fatal("the oldest line survived a full set")
-	}
-	for i := 1; i <= headerSlots; i++ {
-		if v, ok := h.Get([]byte(fmt.Sprintf(`{"schema":["a%d"]}`, i))); !ok || v != i {
-			t.Fatalf("line %d: got %d, %v", i, v, ok)
-		}
-	}
-	if _, ok := h.Get([]byte(`{"schema":["a1"]} `)); ok {
-		t.Fatal("a line with different bytes matched")
-	}
-	long := bytes.Repeat([]byte("x"), maxHeaderBytes+1)
-	h.Put(long, 99)
-	h.Put(nil, 98)
-	if _, ok := h.Get(long); ok {
-		t.Fatal("an overlong line was kept")
-	}
-	if _, ok := h.Get(nil); ok {
-		t.Fatal("an empty line was kept")
-	}
-}
 
 // TestAppendMatchesEncodingJSON checks the string and float appenders
 // against json.Marshal on the cases that differ from a plain copy.
@@ -65,26 +33,4 @@ func TestAppendMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("AppendFloat(%v) = %q, %v, want a refusal", f, got, ok)
 		}
 	}
-}
-
-// TestHeadersConcurrent shares one set among streams that look lines up
-// and put them at once; run it under -race.
-func TestHeadersConcurrent(t *testing.T) {
-	var h Headers[int]
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				line := []byte(fmt.Sprintf(`{"schema":["a%d"]}`, (g+i)%(2*headerSlots)))
-				if v, ok := h.Get(line); ok && v != (g+i)%(2*headerSlots) {
-					t.Errorf("line %s maps to %d", line, v)
-					return
-				}
-				h.Put(line, (g+i)%(2*headerSlots))
-			}
-		}()
-	}
-	wg.Wait()
 }
